@@ -116,6 +116,13 @@ step "perf smoke (serve)" cargo bench --offline --bench serve -- \
 step "perf smoke (kernel)" cargo bench --offline --bench kernel -- \
     --baseline crates/bench/baselines/kernel.json --threshold 0.30
 
+# Same gate for the thermal solver behind Figure 12 and the DVFS loop
+# (DESIGN.md §17): one steady-state solve of the MI300A floorplan at
+# three grid resolutions. Regenerate with:
+#   cargo bench --bench thermal -- --save-baseline crates/bench/baselines/thermal.json
+step "perf smoke (thermal)" cargo bench --offline --bench thermal -- \
+    --baseline crates/bench/baselines/thermal.json --threshold 0.30
+
 # Whole-suite wall-time gate: the `ehp all` path end to end, the first
 # full-suite speed baseline. Looser threshold: it aggregates every
 # experiment, so it moves with legitimate feature growth — bump the
