@@ -54,6 +54,9 @@ pub struct OperatingPoint {
     pub iterations: u32,
     /// Whether the junction limit was met.
     pub thermally_safe: bool,
+    /// Worst [`TemperatureField::error_bound_c`] over every thermal
+    /// solve the loop ran (°C).
+    pub thermal_error_bound_c: f64,
     /// The final thermal field.
     pub field: TemperatureField,
 }
@@ -123,11 +126,13 @@ impl PowerThermalController {
         let solver = ThermalSolver::new(self.cfg.thermal);
 
         let mut iterations = 0;
+        let mut error_bound_c: f64 = 0.0;
         loop {
             let mut fp = Floorplan::mi300a();
             self.apply_to_floorplan(&mut fp);
             let field = solver.solve(&fp);
             let (peak, _) = field.max();
+            error_bound_c = error_bound_c.max(field.error_bound_c());
 
             let compute = self.pm.current().get(PowerDomain::ComputeChiplets);
             if peak <= self.cfg.tj_limit_c || iterations >= self.cfg.max_iters {
@@ -139,6 +144,7 @@ impl PowerThermalController {
                     xcd_perf_factor: self.xcd_curve.perf_factor(per_xcd),
                     iterations,
                     thermally_safe: peak <= self.cfg.tj_limit_c,
+                    thermal_error_bound_c: error_bound_c,
                     field,
                 };
             }
@@ -198,6 +204,7 @@ mod tests {
         let op = tight.converge(WorkloadProfile::ComputeIntensive);
         assert!(op.thermally_safe, "controller must converge");
         assert!(op.iterations > 0);
+        assert!(op.thermal_error_bound_c <= ThermalConfig::default().tolerance_c);
         assert!(
             op.compute_power.as_watts() < unconstrained.compute_power.as_watts(),
             "compute power shed: {} vs {}",

@@ -27,6 +27,7 @@ pub(crate) fn run(sc: &Scenario) -> ExperimentResult {
     ));
     let mut rows = Vec::new();
     let mut tight_safe = false;
+    let mut thermal_error_bound_c: f64 = 0.0;
     for (label, tj) in [("roomy (95 C)", 95.0), ("tight (42 C)", 42.0)] {
         let mut c = PowerThermalController::new(
             ControllerConfig {
@@ -52,6 +53,7 @@ pub(crate) fn run(sc: &Scenario) -> ExperimentResult {
         if tj < 50.0 {
             tight_safe = op.thermally_safe;
         }
+        thermal_error_bound_c = thermal_error_bound_c.max(op.thermal_error_bound_c);
         rows.push(Json::object([
             ("tj_limit_c", Json::Num(tj)),
             ("peak_c", Json::Num(op.peak_c)),
@@ -122,6 +124,7 @@ pub(crate) fn run(sc: &Scenario) -> ExperimentResult {
 
     let mut res = ExperimentResult::new(rep);
     res.metric("tight_limit_thermally_safe", f64::from(tight_safe));
+    res.metric("thermal_error_bound_c", thermal_error_bound_c);
     res.metric("clock_gain_from_shift", clock_after - clock_before);
     res.metric("mi300_bond_drop_fraction", mi300.drop_fraction(xcd_current));
     res.metric(

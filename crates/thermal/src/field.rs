@@ -11,10 +11,13 @@ pub struct TemperatureField {
     cell_h: f64,
     /// Row-major: `data[j][i]` is the cell at column `i`, row `j`.
     data: Vec<Vec<f64>>,
+    iterations: usize,
+    error_bound_c: f64,
 }
 
 impl TemperatureField {
-    /// Wraps solved data.
+    /// Wraps solved data, taken as exact: [`Self::iterations`] is 0 and
+    /// [`Self::error_bound_c`] is 0.
     ///
     /// # Panics
     ///
@@ -37,7 +40,30 @@ impl TemperatureField {
             cell_w,
             cell_h,
             data,
+            iterations: 0,
+            error_bound_c: 0.0,
         }
+    }
+
+    /// Records how the solver that produced this field terminated.
+    pub(crate) fn with_convergence(mut self, iterations: usize, error_bound_c: f64) -> Self {
+        self.iterations = iterations;
+        self.error_bound_c = error_bound_c;
+        self
+    }
+
+    /// Relaxation sweeps the solver ran to produce this field.
+    #[must_use]
+    pub fn iterations(&self) -> usize {
+        self.iterations
+    }
+
+    /// Proven upper bound on the max per-cell temperature error (°C)
+    /// against the exact steady state of the discretised model. Above
+    /// the solver's `tolerance_c` only when it stopped at `max_iters`.
+    #[must_use]
+    pub fn error_bound_c(&self) -> f64 {
+        self.error_bound_c
     }
 
     /// Grid dimensions `(nx, ny)`.

@@ -11,8 +11,12 @@
 //! ```
 //!
 //! i.e. lateral conduction through the silicon/lid plus vertical heat
-//! extraction into the cold plate. Gauss–Seidel iteration converges
-//! quickly at the grid sizes used (one cell per mm²).
+//! extraction into the cold plate. The solver runs red-black SOR with
+//! the over-relaxation factor derived from the grid, and stops on the
+//! true residual: since every row of the system sums to `h·A_cell`,
+//! `max|residual| / (h·A_cell)` bounds the max temperature error, and
+//! each [`TemperatureField`] reports that bound and its sweep count
+//! (DESIGN.md §17).
 //!
 //! ## Example
 //!
@@ -25,6 +29,7 @@
 //! fp.assign_power("xcd", Power::from_watts(340.0));
 //! let field = ThermalSolver::new(ThermalConfig::default()).solve(&fp);
 //! assert!(field.max().0 > 40.0); // well above coolant temperature
+//! assert!(field.error_bound_c() <= ThermalConfig::default().tolerance_c);
 //! ```
 
 #![warn(missing_docs)]
