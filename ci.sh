@@ -37,30 +37,23 @@ step "tests" cargo test -q --offline
 # (U1), or scenario specs that don't match their experiment's parameter
 # schema.
 #
-# The lint runs twice through its incremental cache: the cold run
-# (parallel, --jobs 0) re-analyzes every file, the warm run must hit
-# the cache for all of them and reproduce the JSON report byte-for-byte
-# — worker count, cache state, and report bytes are required to be
-# mutually invisible.
+# The lint runs twice: the parallel run (--jobs 0) and a serial one
+# (--jobs 1) must produce byte-identical JSON reports — the worker
+# count is required to be invisible in the report bytes.
 #
-# The cold run also carries the wall-time budget gate: the abstract
+# The parallel run also carries the wall-time budget gate: the abstract
 # interpreter re-runs its summary fixpoint every lint, so a checked-in,
 # machine-speed-normalised ceiling (same calibration scheme as the
 # bench baselines) keeps the layer from silently blowing up CI time.
 # Regenerate after intentional analysis growth with:
 #   ./target/release/ehp lint --jobs 0 --save-budget crates/lint/lint_budget.json
 mkdir -p target/figures
-step "ehp lint (cold, parallel, budget gate)" sh -c '
-    rm -f target/lint-cache.json &&
+step "ehp lint (parallel, budget gate)" sh -c '
     ./target/release/ehp lint --json --jobs 0 \
-        --budget crates/lint/lint_budget.json > target/lint_report.cold.json'
-step "ehp lint (warm)" sh -c \
-    './target/release/ehp lint --json > target/figures/lint_report.json'
-step "warm lint report byte-identical" \
-    cmp target/lint_report.cold.json target/figures/lint_report.json
-step "warm lint re-analyzed nothing" sh -c '
-    ./target/release/ehp lint > target/lint_human.txt &&
-    grep -q ", 0 miss(es)" target/lint_human.txt'
+        --budget crates/lint/lint_budget.json > target/lint_report.parallel.json'
+step "serial lint report byte-identical to parallel" sh -c '
+    ./target/release/ehp lint --json --jobs 1 > target/figures/lint_report.json &&
+    cmp target/lint_report.parallel.json target/figures/lint_report.json'
 step "ehp lint --sarif artifact" sh -c \
     './target/release/ehp lint --sarif > target/figures/lint_report.sarif'
 

@@ -17,7 +17,7 @@ use ehp_harness::executor::resolve_seeds;
 use ehp_harness::scenario::Scenario;
 use ehp_harness::serving::{run_batch_served, scenario_key, ServingConfig};
 use ehp_serve::frame::{read_frame, write_frame};
-use ehp_serve::pool::{PoolConfig, WorkerCommand};
+use ehp_serve::pool::WorkerCommand;
 use ehp_sim_core::json::Json;
 
 const SCENARIOS: usize = 16;
@@ -156,10 +156,6 @@ fn bench_pool(c: &mut Criterion) {
             let cfg = ServingConfig {
                 use_cache: false,
                 workers: 2,
-                pool: PoolConfig {
-                    workers: 2,
-                    ..PoolConfig::default()
-                },
                 worker_cmd: Some(WorkerCommand::new(&ehp, &["worker"])),
                 ..ServingConfig::default()
             };

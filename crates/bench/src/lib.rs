@@ -1,15 +1,15 @@
 //! # ehp-bench
 //!
-//! Historical front end for the paper experiments: one thin binary per
-//! table/figure (run `cargo run -p ehp-bench --bin table1`,
-//! `--bin figure20`, …) plus the microbenches under `benches/`.
+//! The workspace microbenches under `benches/` (with the
+//! Criterion-compatible [`microbench`] shim and the checked-in
+//! baselines that `ci.sh` gates on), plus the root-level examples and
+//! cross-crate integration tests.
 //!
-//! The experiment logic itself lives in `ehp-harness` — each binary
-//! delegates to [`run_default`], and the preferred interface is the
-//! `ehp` CLI (`cargo run -p ehp-harness --bin ehp -- all --jobs 8`),
-//! which adds scenario overrides, sweeps, parallel batches, and shape
-//! checks. The [`Report`] type also moved to the harness and is
-//! re-exported here for compatibility.
+//! The paper experiments live in `ehp-harness`, and each has one entry
+//! point, the `ehp` CLI: `ehp run <id>` (for example
+//! `cargo run --release -p ehp-harness --bin ehp -- run figure20`), or
+//! `ehp all` for the whole registry. The [`Report`] type is re-exported
+//! here for compatibility.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -17,4 +17,3 @@
 pub mod microbench;
 
 pub use ehp_harness::report::Report;
-pub use ehp_harness::run_default;

@@ -8,7 +8,7 @@ use ehp_dispatch::aql::AqlPacket;
 use ehp_dispatch::dispatcher::{DispatchRun, DispatcherConfig, MultiXcdDispatcher};
 use ehp_fabric::fabric::FabricSim;
 use ehp_fabric::link::LinkTech;
-use ehp_fabric::topology::Topology;
+use ehp_fabric::topology::{NodeKey, Topology};
 use ehp_mem::icache::{InfinityCacheSlice, PrefetcherConfig};
 use ehp_mem::request::MemRequest;
 use ehp_mem::subsystem::{MemConfig, MemorySubsystem};
@@ -110,6 +110,29 @@ impl ApuSystem {
     #[must_use]
     pub fn spec(&self) -> &ProductSpec {
         &self.spec
+    }
+
+    /// Fabric nodes of the GPU chiplets (XCDs), in chiplet order.
+    pub fn xcd_nodes(&self) -> impl Iterator<Item = NodeKey> {
+        let first = if self.ccds_first() { self.spec.ccds } else { 0 };
+        (first..first + self.spec.gpu_chiplets).map(NodeKey::Chiplet)
+    }
+
+    /// Fabric nodes of the CPU chiplets (CCDs), in chiplet order; empty
+    /// for GPU-only products.
+    pub fn ccd_nodes(&self) -> impl Iterator<Item = NodeKey> {
+        let first = if self.ccds_first() {
+            0
+        } else {
+            self.spec.gpu_chiplets
+        };
+        (first..first + self.spec.ccds).map(NodeKey::Chiplet)
+    }
+
+    /// The package's chiplet numbering: the EHPv4 package puts its CCDs
+    /// first, the MI300 package numbers them after the XCDs.
+    fn ccds_first(&self) -> bool {
+        self.spec.product == Product::Ehpv4
     }
 
     /// The memory subsystem.

@@ -5,7 +5,7 @@
 //! ehp run <exp...> [options]       run selected experiments / spec files
 //! ehp all [--jobs N]              run the whole registry in parallel
 //! ehp check [--jobs N]            run + compare against expected shapes
-//! ehp lint [--json|--sarif] [--no-cache] [--prune-waivers]
+//! ehp lint [--json|--sarif] [--prune-waivers]
 //!          [--jobs N] [--explain <rule>]
 //!                                  static determinism/hot-path analysis
 //! ```
@@ -15,8 +15,7 @@
 //! (repeatable; `v` parsed as JSON, falling back to a string),
 //! `--spec FILE` scenario spec file (repeatable), `--quiet` suppress
 //! report text, `--json` machine-readable lint findings, `--sarif`
-//! SARIF 2.1.0 lint log, `--no-cache` skip the incremental lint cache,
-//! `--prune-waivers` rewrite `lint.waivers` dropping stale entries,
+//! SARIF 2.1.0 lint log, `--prune-waivers` rewrite `lint.waivers` dropping stale entries,
 //! `--explain <rule>` print one lint rule's documentation.
 //!
 //! Argument parsing is hand-rolled: the environment is offline and the
@@ -42,7 +41,6 @@ struct Args {
     quiet: bool,
     json: bool,
     sarif: bool,
-    no_cache: bool,
     prune_waivers: bool,
     /// `--jobs` exactly as the user typed it (lint distinguishes
     /// "absent" = serial from `0` = one per core; `jobs` above is
@@ -120,7 +118,6 @@ pub fn run(argv: &[String]) -> i32 {
             let opts = crate::lint::LintOptions {
                 json: args.json,
                 sarif: args.sarif,
-                no_cache: args.no_cache,
                 prune_waivers: args.prune_waivers,
                 jobs: args.jobs_given,
                 explain: args.explain.clone(),
@@ -149,7 +146,7 @@ fn print_usage() {
          ehp run <exp...> [options]       run selected experiments\n\
          ehp all [options]                run the whole registry\n\
          ehp check [options]              run + verify expected shapes\n\
-         ehp lint [--json|--sarif] [--no-cache] [--prune-waivers] [--jobs N] [--explain <rule>]\n\
+         ehp lint [--json|--sarif] [--prune-waivers] [--jobs N] [--explain <rule>]\n\
                   [--budget FILE] [--save-budget FILE]\n\
                                           lint the workspace (DESIGN.md §10–§11, §15)\n\
          ehp serve [--socket PATH]        long-running scenario daemon (DESIGN.md §12)\n\
@@ -167,7 +164,6 @@ fn print_usage() {
            --socket PATH   serve-mode Unix socket (default target/ehp-serve.sock)\n\
            --json          machine-readable lint findings\n\
            --sarif         SARIF 2.1.0 lint log (for editors/dashboards)\n\
-           --no-cache      skip the incremental lint cache\n\
            --prune-waivers rewrite lint.waivers, dropping stale entries\n\
            --explain RULE  print one lint rule's documentation (name or code)\n\
            --budget FILE   fail if lint wall time exceeds the checked-in,\n\
@@ -223,7 +219,6 @@ fn parse_args(rest: &[String]) -> Result<Args, String> {
             "--progress" => args.progress = true,
             "--json" => args.json = true,
             "--sarif" => args.sarif = true,
-            "--no-cache" => args.no_cache = true,
             "--prune-waivers" => args.prune_waivers = true,
             "--no-result-cache" => args.no_result_cache = true,
             "--explain" => args.explain = Some(value_of("--explain")?.to_string()),

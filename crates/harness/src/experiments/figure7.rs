@@ -46,28 +46,26 @@ pub(crate) fn run(sc: &Scenario) -> ExperimentResult {
 
     rep.section("Timed transfers through the assembled fabric");
     let mb = Bytes::from_mib(64);
-    let cases = [
-        (
-            "XCD -> local HBM stack",
-            NodeKey::Chiplet(0),
-            NodeKey::HbmStack(0),
-        ),
-        (
-            "XCD -> adjacent-IOD HBM",
-            NodeKey::Chiplet(0),
-            NodeKey::HbmStack(3),
-        ),
-        (
-            "XCD -> diagonal-IOD HBM",
-            NodeKey::Chiplet(0),
-            NodeKey::HbmStack(7),
-        ),
-        (
-            "CCD -> local HBM stack",
-            NodeKey::Chiplet(6),
-            NodeKey::HbmStack(6),
-        ),
-    ];
+    // The XCD times a stack at every IOD distance the package has, the
+    // CCD (if the product has one) its nearest stack. Each row targets a
+    // stack no earlier row used, so rows never share an HBM PHY.
+    let xcd = apu
+        .xcd_nodes()
+        .next()
+        .expect("every product has a GPU chiplet");
+    let mut cases: Vec<(String, NodeKey, NodeKey)> = Vec::new();
+    for (iods, reach) in REACH.iter().enumerate() {
+        if let Some(stack) = free_stack_at(&apu, xcd, iods, &cases) {
+            cases.push((format!("XCD -> {reach}"), xcd, stack));
+        }
+    }
+    if let Some(ccd) = apu.ccd_nodes().next() {
+        let nearest = REACH.iter().enumerate().find_map(|(iods, reach)| {
+            let stack = free_stack_at(&apu, ccd, iods, &cases)?;
+            Some((format!("CCD -> {reach}"), ccd, stack))
+        });
+        cases.extend(nearest);
+    }
     let mut local_bw_gb_s = 0.0;
     for (name, from, to) in cases {
         let t = apu
@@ -75,7 +73,7 @@ pub(crate) fn run(sc: &Scenario) -> ExperimentResult {
             .send(SimTime::ZERO, from, to, mb)
             .expect("reachable");
         let bw = mb.as_f64() / t.latency().as_secs() / 1e9;
-        if name.contains("local HBM stack") && name.starts_with("XCD") {
+        if name == "XCD -> local HBM stack" {
             local_bw_gb_s = bw;
         }
         rep.row(format!(
@@ -97,4 +95,25 @@ pub(crate) fn run(sc: &Scenario) -> ExperimentResult {
     res.metric("xcd_local_hbm_gb_s", local_bw_gb_s);
     res.set_payload(Json::Arr(rows));
     res
+}
+
+/// Row labels by the number of IOD-to-IOD links a transfer crosses.
+const REACH: [&str; 3] = ["local HBM stack", "adjacent-IOD HBM", "diagonal-IOD HBM"];
+
+/// The lowest-index HBM stack `iods` IOD-to-IOD links away from
+/// `chiplet` that no row in `taken` targets yet, if any. Chiplets and
+/// stacks both hang off IODs, so a stack on the chiplet's own IOD is 2
+/// hops away and each IOD crossed adds one.
+fn free_stack_at(
+    apu: &ApuSystem,
+    chiplet: NodeKey,
+    iods: usize,
+    taken: &[(String, NodeKey, NodeKey)],
+) -> Option<NodeKey> {
+    let topo = apu.fabric().topology();
+    topo.nodes().iter().copied().find(|&n| {
+        matches!(n, NodeKey::HbmStack(_))
+            && topo.hops(chiplet, n) == Some(2 + iods)
+            && taken.iter().all(|&(_, _, t)| t != n)
+    })
 }

@@ -1,4 +1,4 @@
-//! Driver for `ehp lint` / the `ehp-lint` binary: binds the generic
+//! Driver for `ehp lint`: binds the generic
 //! analyzer in `ehp-lint` to this workspace's experiment registry (which
 //! supplies the S1 scenario schemas) and renders the report.
 
@@ -15,12 +15,9 @@ pub struct LintOptions {
     pub json: bool,
     /// Print a SARIF 2.1.0 log instead of text (overrides `json`).
     pub sarif: bool,
-    /// Skip the incremental cache (`target/lint-cache.json`): re-tokenize
-    /// every file and do not refresh the cache.
-    pub no_cache: bool,
     /// Rewrite `lint.waivers`, dropping entries that matched nothing.
     pub prune_waivers: bool,
-    /// Worker threads for cache-miss analysis: `1` = serial (the
+    /// Worker threads for per-file analysis: `1` = serial (the
     /// default), `0` = one per core, `n` = exactly `n`.
     pub jobs: Option<usize>,
     /// Print the documentation for one rule (by name or code) and exit.
@@ -55,7 +52,6 @@ pub fn run(start_dir: &Path, opts: &LintOptions) -> i32 {
     let config = LintConfig {
         root: root.clone(),
         schemas: &schemas,
-        use_cache: !opts.no_cache,
         jobs: opts.jobs.unwrap_or(1),
     };
     // lint:allow(wall-clock) timing the lint run itself, not sim state
@@ -221,8 +217,8 @@ fn explain(name: &str) -> i32 {
 }
 
 /// Prints the report to stdout. The JSON and SARIF forms are
-/// byte-identical across cached and uncached runs; cache and timing
-/// telemetry goes to the human summary only.
+/// byte-identical across worker counts; timing goes to the human
+/// summary only.
 fn render(report: &LintReport, opts: &LintOptions, wall_secs: f64) {
     if opts.sarif {
         println!("{}", ehp_lint::sarif::to_sarif(report).to_string_pretty());
@@ -254,8 +250,5 @@ fn render(report: &LintReport, opts: &LintOptions, wall_secs: f64) {
         report.unwaived_count(),
         report.waived_count()
     );
-    println!(
-        "ehp lint: {} cache hit(s), {} miss(es), {:.3} s",
-        report.cache_hits, report.cache_misses, wall_secs
-    );
+    println!("ehp lint: {wall_secs:.3} s");
 }

@@ -45,7 +45,10 @@ static REGISTRY: &[FnExperiment] = &[
             name: "product",
             kind: ParamKind::EnumStr(&["mi250x", "mi300a", "mi300x", "ehpv4"]),
         }],
-        salt: 0,
+        // Salt 1: the timed transfers start from the product's own XCD
+        // and CCD (EHPv4 no longer panics; GPU-only products drop the
+        // CCD row).
+        salt: 1,
         runner: experiments::figure7::run,
     },
     FnExperiment {
@@ -316,5 +319,39 @@ mod tests {
         for required in ["table1", "figure20", "figure21", "ic_sweep"] {
             assert!(find(required).is_some());
         }
+    }
+
+    #[test]
+    fn every_enum_and_bool_value_runs_without_panicking() {
+        use crate::executor::{run_one, OutcomeStatus};
+        use crate::scenario::Scenario;
+        use ehp_sim_core::json::Json;
+
+        // serve_selftest's `panic` and `sleep` modes panic and stall on
+        // purpose; they exercise the serving layer's isolation.
+        let deliberate = |id: &str, v: &Json| {
+            id == "serve_selftest" && matches!(v.as_str(), Some("panic" | "sleep"))
+        };
+        let mut runs = 0;
+        for schema in schemas() {
+            for p in schema.params {
+                let values: Vec<Json> = match p.kind {
+                    ParamKind::EnumStr(vals) => vals.iter().map(|&v| Json::from(v)).collect(),
+                    ParamKind::Bool => vec![Json::from(false), Json::from(true)],
+                    ParamKind::U64 { .. } | ParamKind::Num { .. } => continue,
+                };
+                for v in values.into_iter().filter(|v| !deliberate(schema.id, v)) {
+                    let sc = Scenario::default_for(schema.id).with_param(p.name, v.clone());
+                    let out = run_one(&sc);
+                    let at = format!("{} {}={}", schema.id, p.name, v.to_string_compact());
+                    assert_eq!(out.status, OutcomeStatus::Ok, "{at}");
+                    for (k, m) in &out.metrics {
+                        assert!(m.is_finite(), "{at}: metric {k} = {m}");
+                    }
+                    runs += 1;
+                }
+            }
+        }
+        assert!(runs >= 12, "only {runs} enum/bool values ran");
     }
 }

@@ -64,7 +64,8 @@ pub struct ServingConfig {
     pub use_cache: bool,
     /// Result-cache directory.
     pub cache_dir: PathBuf,
-    /// Child worker processes; 0 = run misses in-process.
+    /// Child worker processes — the pool's only worker-count setting;
+    /// 0 = run misses in-process.
     pub workers: usize,
     /// Pool knobs (chunk size, timeout, retries).
     pub pool: PoolConfig,
@@ -277,7 +278,14 @@ fn run_subset_pooled(
             })
             .collect()
     };
-    let (raw, stats) = pool::run_jobs(&jobs, cmd, &cfg.pool, &mut fallback, Some(&on_chunk));
+    let (raw, stats) = pool::run_jobs(
+        &jobs,
+        cmd,
+        cfg.workers,
+        &cfg.pool,
+        &mut fallback,
+        Some(&on_chunk),
+    );
     let outcomes = subset
         .iter()
         .zip(raw)

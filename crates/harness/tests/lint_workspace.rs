@@ -21,7 +21,6 @@ fn real_workspace_has_zero_unwaived_findings() {
     let config = LintConfig {
         root: workspace_root(),
         schemas: &schemas,
-        use_cache: false,
         jobs: 1,
     };
     let report = lint_workspace(&config).expect("lint run");
@@ -123,7 +122,6 @@ fn lint_json_report_is_machine_readable() {
     let config = LintConfig {
         root: workspace_root(),
         schemas: &schemas,
-        use_cache: false,
         jobs: 1,
     };
     let report = lint_workspace(&config).expect("lint run");
@@ -146,64 +144,23 @@ fn lint_json_report_is_machine_readable() {
 }
 
 #[test]
-fn cached_rerun_hits_every_file_and_reports_byte_identically() {
-    let schemas = registry::schemas();
-    let config = LintConfig {
-        root: workspace_root(),
-        schemas: &schemas,
-        use_cache: true,
-        jobs: 1,
-    };
-    // First run primes the cache (some files may already be cached from
-    // an earlier `ehp lint`; either way the report must not depend on it).
-    let first = lint_workspace(&config).expect("first lint run");
-    let second = lint_workspace(&config).expect("second lint run");
-    assert_eq!(
-        second.cache_hits, second.files_scanned,
-        "unchanged tree must hit the cache for every file ({} misses)",
-        second.cache_misses
-    );
-    assert_eq!(
-        first.to_json().to_string_pretty(),
-        second.to_json().to_string_pretty(),
-        "cached rerun must produce a byte-identical report"
-    );
-    // And the cached report matches an uncached run too.
-    let uncached = lint_workspace(&LintConfig {
-        root: workspace_root(),
-        schemas: &schemas,
-        use_cache: false,
-        jobs: 1,
-    })
-    .expect("uncached lint run");
-    assert_eq!(
-        uncached.to_json().to_string_pretty(),
-        second.to_json().to_string_pretty(),
-        "cache must be semantically invisible"
-    );
-}
-
-#[test]
 fn parallel_cold_lint_reports_byte_identically_to_serial() {
     let schemas = registry::schemas();
     let serial = lint_workspace(&LintConfig {
         root: workspace_root(),
         schemas: &schemas,
-        use_cache: false,
         jobs: 1,
     })
     .expect("serial lint run");
-    // jobs = 0 (one worker per core) exercises the threaded cold path on
-    // any multi-core machine; the merge is by file index, so the report
+    // jobs = 0 (one worker per core) exercises the threaded path on any
+    // multi-core machine; the merge is by file index, so the report
     // must not move by a byte.
     let parallel = lint_workspace(&LintConfig {
         root: workspace_root(),
         schemas: &schemas,
-        use_cache: false,
         jobs: 0,
     })
     .expect("parallel lint run");
-    assert_eq!(parallel.cache_hits, 0, "uncached run must analyze cold");
     assert_eq!(
         serial.to_json().to_string_pretty(),
         parallel.to_json().to_string_pretty(),
@@ -217,7 +174,6 @@ fn sarif_log_covers_every_finding_in_the_tree() {
     let report = lint_workspace(&LintConfig {
         root: workspace_root(),
         schemas: &schemas,
-        use_cache: false,
         jobs: 1,
     })
     .expect("lint run");

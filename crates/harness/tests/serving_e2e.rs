@@ -147,7 +147,6 @@ fn tampered_entry_fails_scenario_check_and_recomputes() {
 /// poisons little, tight timeout so the suite stays fast.
 fn fast_pool() -> PoolConfig {
     PoolConfig {
-        workers: 2,
         chunk: 2,
         timeout: Duration::from_secs(30),
         max_retries: 1,
@@ -197,6 +196,31 @@ fn panicking_scenario_in_worker_degrades_to_identical_summary() {
         served.pool.fallback_chunks >= 1,
         "the poisoned chunk must have degraded in-process: {:?}",
         served.pool
+    );
+}
+
+#[test]
+fn workers_setting_is_the_pool_size() {
+    // Three chunks of two, one worker: the single child claims every
+    // chunk in turn, so exactly one process is ever spawned.
+    let scenarios = selftest_batch(6);
+    let cfg = ServingConfig {
+        use_cache: false,
+        workers: 1,
+        pool: fast_pool(),
+        worker_cmd: Some(WorkerCommand::new(EHP, &["worker"])),
+        ..ServingConfig::default()
+    };
+    let served = run_batch_served(&scenarios, &cfg);
+    assert_eq!(served.result.ok_count(), 6);
+    assert_eq!(served.pool.chunks, 3, "{:?}", served.pool);
+    assert_eq!(served.pool.worker_spawns, 1, "{:?}", served.pool);
+    assert_eq!(served.pool.worker_restarts, 0, "{:?}", served.pool);
+    assert_eq!(
+        run_batch(&scenarios, &BatchConfig::default())
+            .summary_json()
+            .to_string_pretty(),
+        served.result.summary_json().to_string_pretty()
     );
 }
 

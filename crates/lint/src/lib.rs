@@ -30,21 +30,20 @@
 //! | `unit-mixing`     | U1   | no additive arithmetic across units of measure   |
 //! | `scenario-schema` | S1   | `scenarios/*.json` match experiment schemas      |
 //!
-//! D1–D4, H1, R1, L1, L2, and U1 are single-file rules and cache per
-//! file (content-hash keyed, `target/lint-cache.json`); H2, N1, L3, and
-//! the bit-provenance rules B1/B2 walk the workspace call graph (and
-//! the [`absint`] lane summaries) built from the per-file indexes and
-//! are recomputed every run, as are S1 and the waiver file. A cold run
-//! fans the per-file work out across threads ([`LintConfig::jobs`])
-//! and merges by file index, so the report is byte-identical across
-//! serial, parallel, and cached runs.
+//! D1–D4, H1, R1, L1, L2, and U1 are single-file rules; H2, N1, L3,
+//! and the bit-provenance rules B1/B2 walk the workspace call graph
+//! (and the [`absint`] lane summaries) built from the per-file
+//! indexes. Every run re-analyzes every file: there is no incremental
+//! cache, because parsing and rewriting one cost more than
+//! re-tokenizing the whole tree (DESIGN.md §11). The per-file work fans
+//! out across threads ([`LintConfig::jobs`]) and merges by file index,
+//! so the report is byte-identical across serial and parallel runs.
 //!
-//! Entry point: [`lint_workspace`]. The `ehp lint` CLI subcommand and the
-//! `ehp-lint` binary (both in `ehp-harness`, which owns the experiment
-//! registry and therefore the schemas) are thin wrappers around it.
+//! Entry point: [`lint_workspace`]. The `ehp lint` CLI subcommand (in
+//! `ehp-harness`, which owns the experiment registry and therefore the
+//! schemas) is a thin wrapper around it.
 
 pub mod absint;
-pub mod cache;
 pub mod callgraph;
 pub mod findings;
 pub mod parse;
@@ -65,9 +64,6 @@ pub use schema::{ExperimentSchema, ParamKind, ParamSpec};
 /// Name of the file-level waiver file at the workspace root.
 pub const WAIVER_FILE: &str = "lint.waivers";
 
-/// Cache location relative to the workspace root.
-pub const CACHE_REL_PATH: &str = "target/lint-cache.json";
-
 /// What to lint and against which schemas.
 #[derive(Debug)]
 pub struct LintConfig<'a> {
@@ -75,9 +71,7 @@ pub struct LintConfig<'a> {
     pub root: PathBuf,
     /// Experiment parameter schemas for S1 (from the harness registry).
     pub schemas: &'a [ExperimentSchema],
-    /// Use (and refresh) the incremental cache at [`CACHE_REL_PATH`].
-    pub use_cache: bool,
-    /// Worker threads for the cold (cache-miss) per-file analysis:
+    /// Worker threads for the per-file analysis:
     /// `1` = serial, `0` = one per core, `n` = exactly `n`. The merge
     /// is by file index either way, so the report bytes never depend
     /// on this.
@@ -94,10 +88,6 @@ pub struct LintReport {
     pub files_scanned: usize,
     /// Number of scenario specs validated.
     pub scenarios_scanned: usize,
-    /// Files whose single-file findings and index came from the cache.
-    pub cache_hits: usize,
-    /// Files that were (re-)tokenized and analyzed this run.
-    pub cache_misses: usize,
     /// `(rule, path)` of file-level waiver entries that matched no
     /// finding this run — the input to [`prune_waivers`]. Not part of
     /// the serialized report (the stale findings themselves are).
@@ -123,8 +113,6 @@ impl LintReport {
     }
 
     /// Machine-readable report (stable key order via `Json`'s BTreeMap).
-    /// Cache hit/miss counters are deliberately excluded: a cached run
-    /// must produce a byte-identical report to an uncached one.
     #[must_use]
     pub fn to_json(&self) -> ehp_sim_core::json::Json {
         use ehp_sim_core::json::{Json, ToJson};
@@ -197,22 +185,10 @@ fn append_reachability(findings: &mut Vec<Finding>, indexes: &[(String, FileInde
 /// under `config.root`, applies inline and file-level waivers, and
 /// returns the deterministic report.
 ///
-/// With `config.use_cache`, unchanged files (by content hash) replay
-/// their cached findings and index without re-tokenizing; the refreshed
-/// cache is written back to `target/lint-cache.json` best-effort. The
-/// report is byte-identical either way.
-///
 /// # Errors
 /// Propagates I/O errors from walking the tree or reading files.
 pub fn lint_workspace(config: &LintConfig) -> io::Result<LintReport> {
     let mut report = LintReport::default();
-    let cache_path = config.root.join(CACHE_REL_PATH);
-    let old_cache = if config.use_cache {
-        cache::LintCache::load(&cache_path)
-    } else {
-        cache::LintCache::default()
-    };
-    let mut new_cache = cache::LintCache::default();
 
     // Source files: crates/*/src/**/*.rs, crate and file order sorted so
     // the report (and the call-graph walk) is byte-stable.
@@ -223,80 +199,46 @@ pub fn lint_workspace(config: &LintConfig) -> io::Result<LintReport> {
             collect_rs(&src, &mut rs_files)?;
         }
     }
-    // Phase 1 (serial): read, hash, and probe the cache for every file.
-    let mut scanned: Vec<(String, String, u64, Option<cache::CacheEntry>)> = Vec::new();
+    let mut sources: Vec<(String, String)> = Vec::new();
     for path in &rs_files {
-        let rel = rel_path(&config.root, path);
-        let text = fs::read_to_string(path)?;
-        let hash = cache::content_hash(&text);
-        let hit = old_cache.lookup(&rel, hash).cloned();
-        scanned.push((rel, text, hash, hit));
+        sources.push((rel_path(&config.root, path), fs::read_to_string(path)?));
     }
 
-    // Phase 2: analyze the cache misses, fanning out across worker
-    // threads when more than one is requested. Each worker owns a
-    // contiguous slice of result slots, and the merge below walks files
-    // in index order — the report is byte-identical to a serial run.
-    let misses: Vec<usize> = scanned
-        .iter()
-        .enumerate()
-        .filter(|(_, s)| s.3.is_none())
-        .map(|(i, _)| i)
-        .collect();
+    // Analyze every file, fanning out across worker threads when more
+    // than one is requested. Each worker owns a contiguous slice of
+    // result slots, and the merge below walks files in index order —
+    // the report is byte-identical to a serial run.
     let jobs = match config.jobs {
-        // lint:order-invisible worker count only partitions the cold file list; the merge below folds results in file-index order
+        // lint:order-invisible worker count only partitions the file list; the merge below folds results in file-index order
         0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
         n => n,
     }
-    .min(misses.len())
+    .min(sources.len())
     .max(1);
-    let mut fresh: Vec<Option<rules::Analysis>> = Vec::new();
-    fresh.resize_with(misses.len(), || None);
+    let mut analyses: Vec<Option<rules::Analysis>> = Vec::new();
+    analyses.resize_with(sources.len(), || None);
     if jobs <= 1 {
-        for (slot, &mi) in fresh.iter_mut().zip(&misses) {
-            *slot = Some(rules::analyze(&scanned[mi].0, &scanned[mi].1));
+        for (slot, (rel, text)) in analyses.iter_mut().zip(&sources) {
+            *slot = Some(rules::analyze(rel, text));
         }
     } else {
-        let chunk = misses.len().div_ceil(jobs);
-        let scanned = &scanned;
+        let chunk = sources.len().div_ceil(jobs);
         std::thread::scope(|scope| {
-            for (mchunk, schunk) in misses.chunks(chunk).zip(fresh.chunks_mut(chunk)) {
+            for (schunk, achunk) in sources.chunks(chunk).zip(analyses.chunks_mut(chunk)) {
                 scope.spawn(move || {
-                    for (slot, &mi) in schunk.iter_mut().zip(mchunk) {
-                        *slot = Some(rules::analyze(&scanned[mi].0, &scanned[mi].1));
+                    for (slot, (rel, text)) in achunk.iter_mut().zip(schunk) {
+                        *slot = Some(rules::analyze(rel, text));
                     }
                 });
             }
         });
     }
 
-    // Phase 3 (serial): merge hits and fresh analyses in file order.
-    let mut fresh_by_file: std::collections::BTreeMap<usize, rules::Analysis> = misses
-        .iter()
-        .zip(fresh)
-        .map(|(&mi, a)| (mi, a.expect("every miss slot is filled")))
-        .collect();
     let mut indexes: Vec<(String, FileIndex)> = Vec::new();
-    for (i, (rel, _, hash, hit)) in scanned.into_iter().enumerate() {
-        if let Some(e) = hit {
-            report.cache_hits += 1;
-            report.findings.extend(e.findings.iter().cloned());
-            indexes.push((rel.clone(), e.index.clone()));
-            new_cache.entries.insert(rel, e);
-        } else {
-            report.cache_misses += 1;
-            let a = fresh_by_file.remove(&i).expect("miss index is present");
-            report.findings.extend(a.findings.iter().cloned());
-            new_cache.entries.insert(
-                rel.clone(),
-                cache::CacheEntry {
-                    hash,
-                    findings: a.findings,
-                    index: a.index.clone(),
-                },
-            );
-            indexes.push((rel, a.index));
-        }
+    for ((rel, _), a) in sources.into_iter().zip(analyses) {
+        let a = a.expect("every analysis slot is filled");
+        report.findings.extend(a.findings);
+        indexes.push((rel, a.index));
         report.files_scanned += 1;
     }
 
@@ -344,10 +286,6 @@ pub fn lint_workspace(config: &LintConfig) -> io::Result<LintReport> {
     }
 
     findings::sort_dedup(&mut report.findings);
-    if config.use_cache {
-        // Best-effort: a read-only target dir must not fail the lint.
-        let _ = new_cache.save(&cache_path);
-    }
     Ok(report)
 }
 

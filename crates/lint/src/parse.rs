@@ -6,8 +6,7 @@
 //! allocation sites, the `// lint:hot-path` fence regions, seed
 //! construction sites, and `spawn` closure captures — everything the
 //! cross-file rules (H2 hot-path-reach, R1 thread-capture, D4
-//! seed-discipline) and the incremental cache need, without keeping the
-//! token stream around.
+//! seed-discipline) need, without keeping the token stream around.
 //!
 //! Like the rest of the linter the parser is type-free and heuristic: a
 //! declaration heuristic maps identifiers to type names (`ws: &mut
@@ -16,8 +15,6 @@
 //! proof — DESIGN.md §11 spells out the limits.
 
 use std::collections::BTreeMap;
-
-use ehp_sim_core::json::Json;
 
 use crate::findings::{Finding, Rule};
 use crate::tokenizer::{Tok, TokKind, TokenizedFile};
@@ -172,7 +169,7 @@ pub enum NondetKind {
 }
 
 impl NondetKind {
-    /// Stable serialization name.
+    /// Stable name, quoted in N1 finding chains.
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
@@ -182,17 +179,6 @@ impl NondetKind {
             NondetKind::HashOrder => "hash-order",
             NondetKind::AddrCast => "addr-cast",
         }
-    }
-
-    fn from_name(s: &str) -> Option<NondetKind> {
-        Some(match s {
-            "parallelism" => NondetKind::Parallelism,
-            "thread-id" => NondetKind::ThreadId,
-            "wall-clock" => NondetKind::WallClock,
-            "hash-order" => NondetKind::HashOrder,
-            "addr-cast" => NondetKind::AddrCast,
-            _ => return None,
-        })
     }
 }
 
@@ -303,9 +289,7 @@ pub struct SpawnSite {
     pub drained: bool,
 }
 
-/// Everything the cross-file passes need to know about one file. This
-/// is what the incremental cache stores per content hash, so a cached
-/// file never needs re-tokenizing.
+/// Everything the cross-file passes need to know about one file.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FileIndex {
     /// Function items, in source order.
@@ -1684,8 +1668,7 @@ fn scan_spawn(
 }
 
 // ---------------------------------------------------------------------
-// Cache serialization: FileIndex <-> Json, hand-rolled like the rest of
-// the zero-dependency stack.
+// FileIndex queries shared by the cross-file passes.
 // ---------------------------------------------------------------------
 
 impl FileIndex {
@@ -1718,361 +1701,6 @@ impl FileIndex {
     #[must_use]
     pub fn fn_folds_in_order(f: &FnItem) -> bool {
         !f.loops.is_empty() || f.calls.iter().any(|c| c.method && c.callee == "fold")
-    }
-
-    /// Machine form for the incremental cache.
-    #[must_use]
-    pub fn to_json(&self) -> Json {
-        let fns = self.fns.iter().map(|f| {
-            Json::object([
-                ("name", Json::from(f.name.as_str())),
-                ("owner", f.owner.as_deref().map_or(Json::Null, Json::from)),
-                ("line", Json::from(u64::from(f.line))),
-                ("is_test", Json::from(f.is_test)),
-                ("has_self", Json::from(f.has_self)),
-                (
-                    "calls",
-                    Json::array(f.calls.iter().map(|c| {
-                        Json::object([
-                            ("callee", Json::from(c.callee.as_str())),
-                            ("qual", c.qual.as_deref().map_or(Json::Null, Json::from)),
-                            ("recv", c.recv.as_deref().map_or(Json::Null, Json::from)),
-                            ("method", Json::from(c.method)),
-                            ("line", Json::from(u64::from(c.line))),
-                            ("in_fence", Json::from(c.in_fence)),
-                        ])
-                    })),
-                ),
-                (
-                    "allocs",
-                    Json::array(f.allocs.iter().map(|a| {
-                        Json::object([
-                            ("what", Json::from(a.what.as_str())),
-                            ("line", Json::from(u64::from(a.line))),
-                        ])
-                    })),
-                ),
-                (
-                    "nondet",
-                    Json::array(f.nondet.iter().map(|n| {
-                        Json::object([
-                            ("line", Json::from(u64::from(n.line))),
-                            ("kind", Json::from(n.kind.name())),
-                            ("what", Json::from(n.what.as_str())),
-                        ])
-                    })),
-                ),
-                (
-                    "loops",
-                    Json::array(f.loops.iter().map(|&l| Json::from(u64::from(l)))),
-                ),
-                (
-                    "params",
-                    Json::array(f.params.iter().map(|p| Json::from(p.as_str()))),
-                ),
-                (
-                    "binds",
-                    Json::array(f.binds.iter().map(|b| {
-                        Json::object([
-                            ("name", Json::from(b.name.as_str())),
-                            ("line", Json::from(u64::from(b.line))),
-                            ("expr", Json::from(b.expr.as_str())),
-                        ])
-                    })),
-                ),
-            ])
-        });
-        Json::object([
-            ("fns", Json::array(fns)),
-            (
-                "fences",
-                Json::array(self.fences.iter().map(|&(b, e)| {
-                    Json::array([Json::from(u64::from(b)), Json::from(u64::from(e))])
-                })),
-            ),
-            (
-                "seeds",
-                Json::array(self.seeds.iter().map(|s| {
-                    Json::object([
-                        ("line", Json::from(u64::from(s.line))),
-                        ("literal_only", Json::from(s.literal_only)),
-                        ("in_test", Json::from(s.in_test)),
-                    ])
-                })),
-            ),
-            (
-                "spawns",
-                Json::array(self.spawns.iter().map(|s| {
-                    Json::object([
-                        ("line", Json::from(u64::from(s.line))),
-                        ("in_test", Json::from(s.in_test)),
-                        (
-                            "captures",
-                            Json::array(s.captures.iter().map(|c| {
-                                let (kind, ty) = match &c.kind {
-                                    CaptureKind::MutBorrow => ("mut", Json::Null),
-                                    CaptureKind::CellLike(t) => ("cell", Json::from(t.as_str())),
-                                };
-                                Json::object([
-                                    ("ident", Json::from(c.ident.as_str())),
-                                    ("line", Json::from(u64::from(c.line))),
-                                    ("kind", Json::from(kind)),
-                                    ("ty", ty),
-                                ])
-                            })),
-                        ),
-                        (
-                            "sync",
-                            Json::array(s.sync.iter().map(|c| {
-                                Json::object([
-                                    ("ident", Json::from(c.ident.as_str())),
-                                    ("line", Json::from(u64::from(c.line))),
-                                    ("ty", Json::from(c.ty.as_str())),
-                                    ("stored", Json::from(c.stored)),
-                                ])
-                            })),
-                        ),
-                        ("drained", Json::from(s.drained)),
-                    ])
-                })),
-            ),
-            (
-                "order_fences",
-                Json::array(self.order_fences.iter().map(|of| {
-                    Json::object([
-                        ("line", Json::from(u64::from(of.line))),
-                        ("reason", Json::from(of.reason.as_str())),
-                    ])
-                })),
-            ),
-            (
-                "locks",
-                Json::array(self.locks.iter().map(|l| {
-                    Json::object([
-                        ("line", Json::from(u64::from(l.line))),
-                        ("in_fence", Json::from(l.in_fence)),
-                        ("in_test", Json::from(l.in_test)),
-                        (
-                            "guard",
-                            l.live_guard.as_ref().map_or(Json::Null, |(name, line)| {
-                                Json::array([
-                                    Json::from(name.as_str()),
-                                    Json::from(u64::from(*line)),
-                                ])
-                            }),
-                        ),
-                        ("second_in_stmt", Json::from(l.second_in_stmt)),
-                        ("target", l.target.as_deref().map_or(Json::Null, Json::from)),
-                        (
-                            "held_target",
-                            l.held_target.as_deref().map_or(Json::Null, Json::from),
-                        ),
-                    ])
-                })),
-            ),
-            (
-                // Values as hex strings: u64 consts can exceed f64's
-                // exact integer range, like the cache's content hashes.
-                "consts",
-                Json::Obj(
-                    self.consts
-                        .iter()
-                        .map(|(k, v)| (k.clone(), Json::from(format!("{v:x}"))))
-                        .collect(),
-                ),
-            ),
-            (
-                "sync_typed",
-                Json::Obj(
-                    self.sync_typed
-                        .iter()
-                        .map(|(k, v)| (k.clone(), Json::from(v.as_str())))
-                        .collect(),
-                ),
-            ),
-            (
-                "waivers",
-                Json::array(self.waivers.iter().map(|w| {
-                    Json::object([
-                        ("rule", Json::from(w.rule.name())),
-                        ("line", Json::from(u64::from(w.line))),
-                        ("reason", Json::from(w.reason.as_str())),
-                    ])
-                })),
-            ),
-            (
-                "typed",
-                Json::Obj(
-                    self.typed
-                        .iter()
-                        .map(|(k, v)| (k.clone(), Json::from(v.as_str())))
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-
-    /// Rebuilds an index from its [`FileIndex::to_json`] form; `None` on
-    /// any shape mismatch (the caller then re-parses the file).
-    #[must_use]
-    pub fn from_json(j: &Json) -> Option<FileIndex> {
-        let line_u32 =
-            |j: &Json, key: &str| -> Option<u32> { u32::try_from(j.get(key)?.as_u64()?).ok() };
-        let opt_str = |j: &Json, key: &str| -> Option<Option<String>> {
-            match j.get(key)? {
-                Json::Null => Some(None),
-                other => Some(Some(other.as_str()?.to_string())),
-            }
-        };
-        let mut index = FileIndex::default();
-        for f in j.get("fns")?.as_arr()? {
-            let mut item = FnItem {
-                name: f.get("name")?.as_str()?.to_string(),
-                owner: opt_str(f, "owner")?,
-                line: line_u32(f, "line")?,
-                is_test: f.get("is_test")?.as_bool()?,
-                has_self: f.get("has_self")?.as_bool()?,
-                calls: Vec::new(),
-                allocs: Vec::new(),
-                nondet: Vec::new(),
-                loops: Vec::new(),
-                params: Vec::new(),
-                binds: Vec::new(),
-            };
-            for c in f.get("calls")?.as_arr()? {
-                item.calls.push(CallSite {
-                    callee: c.get("callee")?.as_str()?.to_string(),
-                    qual: opt_str(c, "qual")?,
-                    recv: opt_str(c, "recv")?,
-                    method: c.get("method")?.as_bool()?,
-                    line: line_u32(c, "line")?,
-                    in_fence: c.get("in_fence")?.as_bool()?,
-                });
-            }
-            for a in f.get("allocs")?.as_arr()? {
-                item.allocs.push(AllocSite {
-                    what: a.get("what")?.as_str()?.to_string(),
-                    line: line_u32(a, "line")?,
-                });
-            }
-            for n in f.get("nondet")?.as_arr()? {
-                item.nondet.push(NondetSite {
-                    line: line_u32(n, "line")?,
-                    kind: NondetKind::from_name(n.get("kind")?.as_str()?)?,
-                    what: n.get("what")?.as_str()?.to_string(),
-                });
-            }
-            for l in f.get("loops")?.as_arr()? {
-                item.loops.push(u32::try_from(l.as_u64()?).ok()?);
-            }
-            for p in f.get("params")?.as_arr()? {
-                item.params.push(p.as_str()?.to_string());
-            }
-            for b in f.get("binds")?.as_arr()? {
-                item.binds.push(BindSite {
-                    name: b.get("name")?.as_str()?.to_string(),
-                    line: line_u32(b, "line")?,
-                    expr: b.get("expr")?.as_str()?.to_string(),
-                });
-            }
-            index.fns.push(item);
-        }
-        for f in j.get("fences")?.as_arr()? {
-            let pair = f.as_arr()?;
-            if pair.len() != 2 {
-                return None;
-            }
-            index.fences.push((
-                u32::try_from(pair[0].as_u64()?).ok()?,
-                u32::try_from(pair[1].as_u64()?).ok()?,
-            ));
-        }
-        for s in j.get("seeds")?.as_arr()? {
-            index.seeds.push(SeedSite {
-                line: line_u32(s, "line")?,
-                literal_only: s.get("literal_only")?.as_bool()?,
-                in_test: s.get("in_test")?.as_bool()?,
-            });
-        }
-        for s in j.get("spawns")?.as_arr()? {
-            let mut site = SpawnSite {
-                line: line_u32(s, "line")?,
-                in_test: s.get("in_test")?.as_bool()?,
-                captures: Vec::new(),
-                sync: Vec::new(),
-                drained: s.get("drained")?.as_bool()?,
-            };
-            for c in s.get("captures")?.as_arr()? {
-                let kind = match c.get("kind")?.as_str()? {
-                    "mut" => CaptureKind::MutBorrow,
-                    "cell" => CaptureKind::CellLike(c.get("ty")?.as_str()?.to_string()),
-                    _ => return None,
-                };
-                site.captures.push(Capture {
-                    ident: c.get("ident")?.as_str()?.to_string(),
-                    line: line_u32(c, "line")?,
-                    kind,
-                });
-            }
-            for c in s.get("sync")?.as_arr()? {
-                site.sync.push(SyncCapture {
-                    ident: c.get("ident")?.as_str()?.to_string(),
-                    line: line_u32(c, "line")?,
-                    ty: c.get("ty")?.as_str()?.to_string(),
-                    stored: c.get("stored")?.as_bool()?,
-                });
-            }
-            index.spawns.push(site);
-        }
-        for of in j.get("order_fences")?.as_arr()? {
-            index.order_fences.push(OrderFence {
-                line: line_u32(of, "line")?,
-                reason: of.get("reason")?.as_str()?.to_string(),
-            });
-        }
-        for l in j.get("locks")?.as_arr()? {
-            let live_guard = match l.get("guard")? {
-                Json::Null => None,
-                other => {
-                    let pair = other.as_arr()?;
-                    if pair.len() != 2 {
-                        return None;
-                    }
-                    Some((
-                        pair[0].as_str()?.to_string(),
-                        u32::try_from(pair[1].as_u64()?).ok()?,
-                    ))
-                }
-            };
-            index.locks.push(LockSite {
-                line: line_u32(l, "line")?,
-                in_fence: l.get("in_fence")?.as_bool()?,
-                in_test: l.get("in_test")?.as_bool()?,
-                live_guard,
-                second_in_stmt: l.get("second_in_stmt")?.as_bool()?,
-                target: opt_str(l, "target")?,
-                held_target: opt_str(l, "held_target")?,
-            });
-        }
-        for (k, v) in j.get("consts")?.as_obj()? {
-            index
-                .consts
-                .insert(k.clone(), u64::from_str_radix(v.as_str()?, 16).ok()?);
-        }
-        for (k, v) in j.get("sync_typed")?.as_obj()? {
-            index.sync_typed.insert(k.clone(), v.as_str()?.to_string());
-        }
-        for w in j.get("waivers")?.as_arr()? {
-            index.waivers.push(InlineWaiver {
-                rule: crate::findings::Rule::from_name(w.get("rule")?.as_str()?)?,
-                line: line_u32(w, "line")?,
-                reason: w.get("reason")?.as_str()?.to_string(),
-            });
-        }
-        for (k, v) in j.get("typed")?.as_obj()? {
-            index.typed.insert(k.clone(), v.as_str()?.to_string());
-        }
-        Some(index)
     }
 }
 
@@ -2458,43 +2086,6 @@ fn neither(x: u64) -> u64 { x }
         assert!(FileIndex::fn_folds_in_order(&idx.fns[0]));
         assert!(FileIndex::fn_folds_in_order(&idx.fns[1]));
         assert!(!FileIndex::fn_folds_in_order(&idx.fns[2]));
-    }
-
-    #[test]
-    fn index_json_round_trips() {
-        let src = "\
-const BANKS: u64 = 16;
-fn hot(ws: &mut Workspace) {
-    // lint:hot-path
-    ws.reset(SplitMix64::new(9));
-    let g = LOCKED.lock().unwrap();
-    // lint:hot-path-end
-    // lint:allow(hash-iter) demo reason
-    std::thread::scope(|s| { s.spawn(|| { let x = &mut GLOBALISH; }); });
-}
-fn capped(done: &AtomicUsize) -> usize {
-    // lint:order-invisible worker count only splits the queue
-    let n = std::thread::available_parallelism().map_or(1, |x| x.get());
-    std::thread::scope(|s| { s.spawn(move || { done.fetch_add(1, Ordering::SeqCst); }); });
-    for i in 0..n { let _ = i; }
-    n
-}
-fn slot(addr: u64) -> u64 {
-    let bank = (addr >> 10) % BANKS;
-    bank
-}
-";
-        let idx = parse(src);
-        assert!(!idx.order_fences.is_empty());
-        assert!(!idx.locks.is_empty());
-        assert!(idx.spawns.iter().any(|s| !s.sync.is_empty()));
-        assert!(idx.fns.iter().any(|f| !f.nondet.is_empty()));
-        assert!(idx.fns.iter().any(|f| !f.binds.is_empty()));
-        assert!(idx.fns.iter().any(|f| !f.params.is_empty()));
-        assert!(idx.locks.iter().any(|l| l.target.is_some()));
-        assert_eq!(idx.consts.get("BANKS"), Some(&16));
-        let back = FileIndex::from_json(&idx.to_json()).expect("round trip");
-        assert_eq!(back, idx);
     }
 
     #[test]

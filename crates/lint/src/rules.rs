@@ -52,7 +52,7 @@ const SORT_METHODS: &[&str] = &[
 const SORT_SCAN_STMTS: u32 = 3;
 
 /// One file's full single-file analysis: the semantic index (for the
-/// cross-file passes and the cache) plus the findings, inline-waived
+/// cross-file passes) plus the findings, inline-waived
 /// ones already marked.
 #[derive(Debug)]
 pub struct Analysis {
