@@ -71,6 +71,14 @@ fi
 
 step "benches compile" cargo build --benches --offline
 
+# The benchmark harness (perfbench/, its own workspace and lockfile)
+# imports `EventKernel`, `serving::scenario_key`, `server::call` and
+# `schema::validate_scenario`; building it here catches a crate API
+# change before the benchmark run does. `--target-dir` keeps its build
+# output under target/, `--locked` leaves its lockfile untouched.
+step "perfbench builds" cargo build --release --offline --locked \
+    --manifest-path perfbench/Cargo.toml --target-dir target/perfbench-check
+
 # Perf smoke: the sharded-replay bench must stay within 30% of the
 # checked-in baseline (machine-speed differences are normalised by the
 # calibration loop saved alongside the baseline; see

@@ -16,6 +16,12 @@
 //! results bit-identical to the sequential path; `chase` always
 //! replays sequentially because each address depends on the previous
 //! completion.
+//!
+//! The schema bounds each granule but not their relation, so a pair
+//! that `InterleaveConfig::validate` rejects (a granule that is not a
+//! power of two, or a channel granule above the stack granule) builds
+//! no memory system: the report names the validation error and every
+//! metric is NaN, which `ehp check` reads as a failure.
 
 use ehp_mem::subsystem::{MemConfig, MemorySubsystem};
 use ehp_mem::trace::{replay, Pattern, TraceConfig};
@@ -25,6 +31,16 @@ use ehp_sim_core::units::Bytes;
 use crate::experiment::ExperimentResult;
 use crate::report::Report;
 use crate::scenario::Scenario;
+
+/// Every metric the sweep reports.
+const METRICS: [&str; 6] = [
+    "ic_peak_tb_s",
+    "hbm_peak_tb_s",
+    "achieved_gb_s",
+    "icache_hit_rate",
+    "mean_latency_ns",
+    "stack_imbalance",
+];
 
 pub(crate) fn run(sc: &Scenario) -> ExperimentResult {
     let mut rep = Report::new(&sc.name);
@@ -39,6 +55,15 @@ pub(crate) fn run(sc: &Scenario) -> ExperimentResult {
     cfg.interleave.stack_granule = sc.u64("stack_granule", 4096).max(256);
     cfg.interleave.channel_granule = sc.u64("channel_granule", 256).max(128);
     cfg.interleave.hashed = sc.bool("hashed", true);
+    if let Err(e) = cfg.interleave.validate() {
+        rep.section("Configuration");
+        rep.kv("invalid interleave", e);
+        let mut res = ExperimentResult::new(rep);
+        for name in METRICS {
+            res.metric(name, f64::NAN);
+        }
+        return res;
+    }
 
     let pattern = match sc.str("pattern", "hot") {
         "sequential" => Pattern::Sequential,
@@ -146,12 +171,17 @@ pub(crate) fn run(sc: &Scenario) -> ExperimentResult {
     rep.kv("max/mean imbalance", format!("{imbalance:.3}"));
 
     let mut res = ExperimentResult::new(rep);
-    res.metric("ic_peak_tb_s", ic_peak_tb_s);
-    res.metric("hbm_peak_tb_s", hbm_peak_tb_s);
-    res.metric("achieved_gb_s", r.bandwidth.as_gb_s());
-    res.metric("icache_hit_rate", hit_rate);
-    res.metric("mean_latency_ns", r.mean_latency_ns);
-    res.metric("stack_imbalance", imbalance);
+    let values = [
+        ic_peak_tb_s,
+        hbm_peak_tb_s,
+        r.bandwidth.as_gb_s(),
+        hit_rate,
+        r.mean_latency_ns,
+        imbalance,
+    ];
+    for (name, v) in METRICS.into_iter().zip(values) {
+        res.metric(name, v);
+    }
     res.set_payload(Json::object([
         (
             "per_stack_bytes",

@@ -18,14 +18,13 @@ const fn u64_pos(name: &'static str) -> ParamSpec {
     }
 }
 
-/// Shorthand for a non-negative number parameter.
-const fn num_pos(name: &'static str) -> ParamSpec {
+/// Shorthand for an unbounded number parameter of at least `min`. A
+/// TDP or a checkpoint write time must be positive, so those start at
+/// one watt or one second.
+const fn num_from(name: &'static str, min: f64) -> ParamSpec {
     ParamSpec {
         name,
-        kind: ParamKind::Num {
-            min: 0.0,
-            max: f64::MAX,
-        },
+        kind: ParamKind::Num { min, max: f64::MAX },
     }
 }
 
@@ -54,7 +53,7 @@ static REGISTRY: &[FnExperiment] = &[
     FnExperiment {
         id: "figure12",
         title: "Figure 12: power distributions and thermal maps",
-        params: &[num_pos("socket_power_w")],
+        params: &[num_from("socket_power_w", 1.0)],
         // Salt 2: the red-black SOR thermal solver (DESIGN.md §17)
         // moves every temperature and adds `thermal_error_bound_c`
         // (salt 1 added `gpu_minus_memory_max_c`).
@@ -134,14 +133,14 @@ static REGISTRY: &[FnExperiment] = &[
     FnExperiment {
         id: "modular_platform",
         title: "Section VII: modular platform design space + exascale RAS",
-        params: &[num_pos("checkpoint_write_s")],
+        params: &[num_from("checkpoint_write_s", 1.0)],
         salt: 0,
         runner: experiments::modular_platform::run,
     },
     FnExperiment {
         id: "power_management",
         title: "Section V.D/V.E: power/thermal/DVFS management loop",
-        params: &[num_pos("socket_power_w"), num_pos("shift_w")],
+        params: &[num_from("socket_power_w", 1.0), num_from("shift_w", 0.0)],
         // Salt 1: the red-black SOR thermal solver (DESIGN.md §17)
         // moves the DVFS loop's peaks and adds `thermal_error_bound_c`.
         salt: 1,
@@ -332,26 +331,40 @@ mod tests {
         let deliberate = |id: &str, v: &Json| {
             id == "serve_selftest" && matches!(v.as_str(), Some("panic" | "sleep"))
         };
+        // Numeric parameters run at their schema minimum; ic_sweep's
+        // granules also at their maximum, where a channel granule above
+        // the stack granule is an invalid interleave.
+        let granule = |id: &str, name: &str| id == "ic_sweep" && name.ends_with("_granule");
         let mut runs = 0;
         for schema in schemas() {
             for p in schema.params {
                 let values: Vec<Json> = match p.kind {
                     ParamKind::EnumStr(vals) => vals.iter().map(|&v| Json::from(v)).collect(),
                     ParamKind::Bool => vec![Json::from(false), Json::from(true)],
-                    ParamKind::U64 { .. } | ParamKind::Num { .. } => continue,
+                    ParamKind::U64 { min, max } if granule(schema.id, p.name) => {
+                        vec![Json::from(min), Json::from(max)]
+                    }
+                    ParamKind::U64 { min, .. } => vec![Json::from(min)],
+                    ParamKind::Num { min, .. } => vec![Json::from(min)],
                 };
                 for v in values.into_iter().filter(|v| !deliberate(schema.id, v)) {
                     let sc = Scenario::default_for(schema.id).with_param(p.name, v.clone());
                     let out = run_one(&sc);
                     let at = format!("{} {}={}", schema.id, p.name, v.to_string_compact());
                     assert_eq!(out.status, OutcomeStatus::Ok, "{at}");
+                    // ic_sweep's documented NaN: the report names the
+                    // rejected interleave.
+                    let invalid = out.report_text.contains("invalid interleave");
                     for (k, m) in &out.metrics {
-                        assert!(m.is_finite(), "{at}: metric {k} = {m}");
+                        assert!(
+                            m.is_finite() || (invalid && m.is_nan()),
+                            "{at}: metric {k} = {m}"
+                        );
                     }
                     runs += 1;
                 }
             }
         }
-        assert!(runs >= 12, "only {runs} enum/bool values ran");
+        assert!(runs >= 12, "only {runs} parameter values ran");
     }
 }

@@ -13,13 +13,13 @@
 //!
 //! Three rules live on top:
 //!
-//! - **B1 correlated-selectors** ([`check_lanes`]): two bounded
+//! - **B1 correlated-selectors** (`check_lanes`): two bounded
 //!   selector values in one fn whose lane sets intersect on the same
 //!   source parameter — the PR 8 interleave bug class. A selector that
 //!   XOR-folds disjoint higher lanes across the overlap (the
 //!   `bank_mix` pattern) is recognized as decorrelated and stays
 //!   silent.
-//! - **B2 lossy-narrowing** ([`check_lanes`]): a selector with a known
+//! - **B2 lossy-narrowing** (`check_lanes`): a selector with a known
 //!   power-of-two bound `2^k` but fewer than `k` surviving source
 //!   lanes — an upstream cast or mask discarded entropy it needs.
 //! - **U1 unit-mixing** ([`check_units`]): additive arithmetic over
@@ -34,9 +34,9 @@
 
 use std::collections::BTreeMap;
 
-use crate::callgraph::{FnKey, Symbols};
+use crate::callgraph::{shortest_path, CallGraph, FnKey};
 use crate::findings::{Finding, Rule};
-use crate::parse::{int_literal, BindSite, CallSite, FileIndex, FnItem, RET_BIND};
+use crate::parse::{int_literal, matching_close, BindSite, CallSite, FileIndex, FnItem, RET_BIND};
 use crate::tokenizer::{Tok, TokKind};
 
 /// Summary-propagation passes over the workspace. Two suffice for the
@@ -277,43 +277,14 @@ fn apply_summary(sum: &FnSummary, args: &[AbsVal]) -> AbsVal {
 }
 
 // ---------------------------------------------------------------------
-// Expression evaluation over the encoded BindSite token stream.
+// Expression evaluation over the BindSite token spans.
 // ---------------------------------------------------------------------
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum EKind {
-    Num,
-    Ident,
-    Opaque,
-    Punct(char),
-}
-
-/// Decodes a [`BindSite::expr`] back into classified tokens: words are
-/// re-typed by their first character (digit → number, letter/`_` →
-/// identifier, `#` → opaque literal, anything else → punct).
-fn decode(expr: &str) -> Vec<(EKind, &str)> {
-    expr.split_whitespace()
-        .map(|w| {
-            let first = w.chars().next().unwrap_or(' ');
-            let kind = if first.is_ascii_digit() {
-                EKind::Num
-            } else if first.is_alphabetic() || first == '_' {
-                EKind::Ident
-            } else if first == '#' {
-                EKind::Opaque
-            } else {
-                EKind::Punct(first)
-            };
-            (kind, w)
-        })
-        .collect()
-}
 
 /// Callee summary lookup used by the evaluator for call expressions.
 type Resolver<'a> = dyn Fn(Option<&str>, &str, Option<&str>, bool, &[AbsVal]) -> AbsVal + 'a;
 
 struct Eval<'a> {
-    toks: &'a [(EKind, &'a str)],
+    toks: &'a [Tok],
     pos: usize,
     env: &'a BTreeMap<String, AbsVal>,
     consts: &'a BTreeMap<String, u64>,
@@ -323,15 +294,19 @@ struct Eval<'a> {
 type EvalResult = Result<AbsVal, ()>;
 
 impl<'a> Eval<'a> {
-    fn peek(&self, ahead: usize) -> Option<(EKind, &'a str)> {
-        self.toks.get(self.pos + ahead).copied()
+    fn peek(&self, ahead: usize) -> Option<&'a Tok> {
+        self.toks.get(self.pos + ahead)
     }
 
     fn is_punct(&self, ahead: usize, c: char) -> bool {
-        matches!(self.peek(ahead), Some((EKind::Punct(p), _)) if p == c)
+        self.peek(ahead).is_some_and(|t| t.is_punct(c))
     }
 
-    fn bump(&mut self) -> Option<(EKind, &'a str)> {
+    fn is_ident(&self, ahead: usize, name: &str) -> bool {
+        self.peek(ahead).is_some_and(|t| t.is_ident(name))
+    }
+
+    fn bump(&mut self) -> Option<&'a Tok> {
         let t = self.peek(0);
         self.pos += 1;
         t
@@ -344,18 +319,19 @@ impl<'a> Eval<'a> {
         loop {
             // `==` `!=` `<=` `>=` `<` `>` `&&` `||` — consume and keep
             // only the dependency union, smeared.
-            let (a, b) = (self.peek(0), self.peek(1));
-            let two = |x: char, y: char| matches!((a, b), (Some((EKind::Punct(p), _)), Some((EKind::Punct(q), _))) if p == x && q == y);
-            let one_cmp = matches!(a, Some((EKind::Punct(p), _)) if p == '<' || p == '>');
-            if two('=', '=')
-                || two('!', '=')
-                || two('<', '=')
-                || two('>', '=')
-                || two('&', '&')
-                || two('|', '|')
-            {
+            let two = [
+                ('=', '='),
+                ('!', '='),
+                ('<', '='),
+                ('>', '='),
+                ('&', '&'),
+                ('|', '|'),
+            ]
+            .iter()
+            .any(|&(x, y)| self.is_punct(0, x) && self.is_punct(1, y));
+            if two {
                 self.pos += 2;
-            } else if one_cmp {
+            } else if self.is_punct(0, '<') || self.is_punct(0, '>') {
                 self.pos += 1;
             } else {
                 return Ok(v);
@@ -428,9 +404,8 @@ impl<'a> Eval<'a> {
     fn mul_level(&mut self) -> EvalResult {
         let mut v = self.cast_level()?;
         loop {
-            let op = match self.peek(0) {
-                Some((EKind::Punct(p), _)) if p == '*' || p == '/' || p == '%' => p,
-                _ => return Ok(v),
+            let Some(op) = ['*', '/', '%'].into_iter().find(|&c| self.is_punct(0, c)) else {
+                return Ok(v);
             };
             self.pos += 1;
             let rhs = self.cast_level()?;
@@ -444,40 +419,37 @@ impl<'a> Eval<'a> {
 
     fn cast_level(&mut self) -> EvalResult {
         let mut v = self.unary()?;
-        while matches!(self.peek(0), Some((EKind::Ident, "as"))) {
+        while self.is_ident(0, "as") {
             self.pos += 1;
-            let Some((EKind::Ident, ty)) = self.bump() else {
+            let Some(ty) = self.bump().filter(|t| t.kind == TokKind::Ident) else {
                 return Err(());
             };
-            v = cast_op(&v, ty);
+            v = cast_op(&v, &ty.text);
         }
         Ok(v)
     }
 
     fn unary(&mut self) -> EvalResult {
-        match self.peek(0) {
-            Some((EKind::Punct('!'), _)) => {
-                self.pos += 1;
-                let mut v = self.unary()?;
-                v.konst = v.konst.map(|k| !k);
-                v.bounded = false;
-                v.bound = None;
-                Ok(v)
-            }
-            Some((EKind::Punct('-'), _)) => {
-                self.pos += 1;
-                let v = self.unary()?;
-                Ok(smear(&v, &AbsVal::default()))
-            }
+        if self.is_punct(0, '!') {
+            self.pos += 1;
+            let mut v = self.unary()?;
+            v.konst = v.konst.map(|k| !k);
+            v.bounded = false;
+            v.bound = None;
+            Ok(v)
+        } else if self.is_punct(0, '-') {
+            self.pos += 1;
+            let v = self.unary()?;
+            Ok(smear(&v, &AbsVal::default()))
+        } else if self.is_punct(0, '&') || self.is_punct(0, '*') {
             // References and derefs are lane-transparent.
-            Some((EKind::Punct('&'), _)) | Some((EKind::Punct('*'), _)) => {
+            self.pos += 1;
+            if self.is_ident(0, "mut") {
                 self.pos += 1;
-                if matches!(self.peek(0), Some((EKind::Ident, "mut"))) {
-                    self.pos += 1;
-                }
-                self.unary()
             }
-            _ => self.postfix(),
+            self.unary()
+        } else {
+            self.postfix()
         }
     }
 
@@ -493,14 +465,14 @@ impl<'a> Eval<'a> {
             }
             match self.peek(1) {
                 // Tuple/newtype field access keeps the value (`t.0`).
-                Some((EKind::Num, _)) => {
+                Some(t) if t.kind == TokKind::Num => {
                     self.pos += 2;
                 }
-                Some((EKind::Ident, name)) => {
+                Some(t) if t.kind == TokKind::Ident => {
                     if self.is_punct(2, '(') {
                         self.pos += 3;
                         let args = self.call_args()?;
-                        v = self.method(&v, recv, name, &args);
+                        v = self.method(&v, recv, &t.text, &args);
                     } else {
                         // Struct field: dependence unknown — keep the
                         // base's deps, smeared.
@@ -575,13 +547,15 @@ impl<'a> Eval<'a> {
     /// Primary expression; also returns the receiver identifier when
     /// the primary was a plain identifier (for method resolution).
     fn primary(&mut self) -> Result<(AbsVal, Option<&'a str>), ()> {
-        match self.bump() {
-            Some((EKind::Num, text)) => Ok((
-                int_literal(text).map_or_else(AbsVal::default, AbsVal::constant),
+        let t = self.bump().ok_or(())?;
+        match t.kind {
+            TokKind::Num => Ok((
+                int_literal(&t.text).map_or_else(AbsVal::default, AbsVal::constant),
                 None,
             )),
-            Some((EKind::Opaque, _)) => Ok((AbsVal::default(), None)),
-            Some((EKind::Punct('('), _)) => {
+            // String/char literals carry no tracked lanes.
+            TokKind::Lit => Ok((AbsVal::default(), None)),
+            TokKind::Punct if t.is_punct('(') => {
                 let mut v = self.expr()?;
                 // Tuples join their elements.
                 while self.is_punct(0, ',') {
@@ -598,22 +572,20 @@ impl<'a> Eval<'a> {
                 self.pos += 1;
                 Ok((v, None))
             }
-            Some((EKind::Ident, "if")) => self.if_chain().map(|v| (v, None)),
-            Some((EKind::Ident, "as")) => Err(()),
-            Some((EKind::Ident, name)) => {
+            TokKind::Ident if t.text == "if" => self.if_chain().map(|v| (v, None)),
+            TokKind::Ident if t.text != "as" => {
+                let name = t.text.as_str();
                 // Path segments: `Qual :: name` (constants or calls).
                 if self.is_punct(0, ':') && self.is_punct(1, ':') {
                     let mut qual = name;
                     let mut last = name;
                     while self.is_punct(0, ':') && self.is_punct(1, ':') {
                         self.pos += 2;
-                        match self.bump() {
-                            Some((EKind::Ident, seg)) => {
-                                qual = last;
-                                last = seg;
-                            }
-                            _ => return Err(()),
-                        }
+                        let Some(seg) = self.bump().filter(|s| s.kind == TokKind::Ident) else {
+                            return Err(());
+                        };
+                        qual = last;
+                        last = &seg.text;
                     }
                     if self.is_punct(0, '(') {
                         self.pos += 1;
@@ -662,29 +634,30 @@ impl<'a> Eval<'a> {
             // Skip the condition: everything up to the `{` at depth 0.
             let mut depth = 0i32;
             loop {
-                match self.peek(0) {
-                    Some((EKind::Punct('(' | '['), _)) => depth += 1,
-                    Some((EKind::Punct(')' | ']'), _)) => depth -= 1,
-                    Some((EKind::Punct('{'), _)) if depth == 0 => break,
-                    None => return Err(()),
-                    _ => {}
+                let t = self.peek(0).ok_or(())?;
+                if t.is_punct('(') || t.is_punct('[') {
+                    depth += 1;
+                } else if t.is_punct(')') || t.is_punct(']') {
+                    depth -= 1;
+                } else if depth == 0 && t.is_punct('{') {
+                    break;
                 }
                 self.pos += 1;
             }
             let body = self.brace_group()?;
-            let branch = eval_span(&body, self.env, self.consts, self.resolve);
+            let branch = eval_tokens(body, self.env, self.consts, self.resolve);
             v = Some(match v {
                 Some(prev) => join(&prev, &branch),
                 None => branch,
             });
-            if matches!(self.peek(0), Some((EKind::Ident, "else"))) {
+            if self.is_ident(0, "else") {
                 self.pos += 1;
-                if matches!(self.peek(0), Some((EKind::Ident, "if"))) {
+                if self.is_ident(0, "if") {
                     self.pos += 1;
                     continue;
                 }
                 let body = self.brace_group()?;
-                let branch = eval_span(&body, self.env, self.consts, self.resolve);
+                let branch = eval_tokens(body, self.env, self.consts, self.resolve);
                 v = Some(join(&v.unwrap_or_default(), &branch));
             }
             // A missing else-branch yields `()`: join with nothing.
@@ -694,33 +667,23 @@ impl<'a> Eval<'a> {
 
     /// Consumes a `{ .. }` group (cursor on the `{`), returning the
     /// interior tokens.
-    fn brace_group(&mut self) -> Result<Vec<(EKind, &'a str)>, ()> {
+    fn brace_group(&mut self) -> Result<&'a [Tok], ()> {
         if !self.is_punct(0, '{') {
             return Err(());
         }
         let start = self.pos + 1;
         self.skip_group()?;
-        Ok(self.toks[start..self.pos - 1].to_vec())
+        Ok(&self.toks[start..self.pos - 1])
     }
 
     /// Skips one balanced bracket group (cursor on the opener).
     fn skip_group(&mut self) -> Result<(), ()> {
-        let mut depth = 0i32;
-        while let Some((k, _)) = self.peek(0) {
-            match k {
-                EKind::Punct('(' | '[' | '{') => depth += 1,
-                EKind::Punct(')' | ']' | '}') => {
-                    depth -= 1;
-                    if depth == 0 {
-                        self.pos += 1;
-                        return Ok(());
-                    }
-                }
-                _ => {}
-            }
-            self.pos += 1;
+        let close = matching_close(self.toks, self.pos);
+        if close >= self.toks.len() {
+            return Err(());
         }
-        Err(())
+        self.pos = close + 1;
+        Ok(())
     }
 
     fn bitwise(&self, a: &AbsVal, b: &AbsVal, xor: bool) -> AbsVal {
@@ -733,11 +696,11 @@ impl<'a> Eval<'a> {
     }
 }
 
-/// Evaluates one encoded expression; parse failures and leftover tokens
+/// Evaluates one expression span; parse failures and leftover tokens
 /// fall back to a smeared join over every identifier the expression
 /// mentions — dependence is never silently dropped.
 fn eval_tokens(
-    toks: &[(EKind, &str)],
+    toks: &[Tok],
     env: &BTreeMap<String, AbsVal>,
     consts: &BTreeMap<String, u64>,
     resolve: &Resolver<'_>,
@@ -751,27 +714,12 @@ fn eval_tokens(
     };
     match ev.expr() {
         Ok(v) if ev.pos == toks.len() => v,
-        _ => {
-            let mut out = AbsVal::default();
-            for (k, text) in toks {
-                if *k == EKind::Ident {
-                    if let Some(v) = env.get(*text) {
-                        out = smear(&out, v);
-                    }
-                }
-            }
-            out
-        }
+        _ => toks
+            .iter()
+            .filter(|t| t.kind == TokKind::Ident)
+            .filter_map(|t| env.get(&t.text))
+            .fold(AbsVal::default(), |out, v| smear(&out, v)),
     }
-}
-
-fn eval_span(
-    toks: &[(EKind, &str)],
-    env: &BTreeMap<String, AbsVal>,
-    consts: &BTreeMap<String, u64>,
-    resolve: &Resolver<'_>,
-) -> AbsVal {
-    eval_tokens(toks, env, consts, resolve)
 }
 
 // ---------------------------------------------------------------------
@@ -939,13 +887,9 @@ struct FnLanes {
     ret: Option<AbsVal>,
 }
 
-fn eval_fn(
-    files: &[(String, FileIndex)],
-    symbols: &Symbols<'_>,
-    summaries: &BTreeMap<FnKey, FnSummary>,
-    key: FnKey,
-) -> FnLanes {
+fn eval_fn(graph: &CallGraph<'_>, summaries: &BTreeMap<FnKey, FnSummary>, key: FnKey) -> FnLanes {
     let (fi, gi) = key;
+    let files = graph.files;
     let index = &files[fi].1;
     let f = &index.fns[gi];
     let mut env: BTreeMap<String, AbsVal> = BTreeMap::new();
@@ -982,7 +926,7 @@ fn eval_fn(
                 line: 0,
                 in_fence: false,
             };
-            let targets = symbols.resolve(&call, fi, key);
+            let targets = graph.resolve(&call, fi, key);
             let sums: Vec<&FnSummary> = targets.iter().filter_map(|t| summaries.get(t)).collect();
             if sums.is_empty() || sums.len() != targets.len() {
                 // Unknown or partially-known callee: smeared join of
@@ -1005,8 +949,7 @@ fn eval_fn(
             }
             out.unwrap_or_default()
         };
-        let toks = decode(&bind.expr);
-        let v = eval_tokens(&toks, &env, &index.consts, &resolve).normalize();
+        let v = eval_tokens(&bind.expr, &env, &index.consts, &resolve).normalize();
         if bind.name == RET_BIND {
             ret = Some(match ret {
                 Some(prev) => join(&prev, &v),
@@ -1021,19 +964,16 @@ fn eval_fn(
 }
 
 /// Computes per-function lane summaries to a fixpoint (capped).
-fn compute_summaries(
-    files: &[(String, FileIndex)],
-    symbols: &Symbols<'_>,
-) -> BTreeMap<FnKey, FnSummary> {
+fn compute_summaries(graph: &CallGraph<'_>) -> BTreeMap<FnKey, FnSummary> {
     let mut summaries: BTreeMap<FnKey, FnSummary> = BTreeMap::new();
     for _ in 0..MAX_PASSES {
         let mut changed = false;
-        for (fi, (_, index)) in files.iter().enumerate() {
+        for (fi, (_, index)) in graph.files.iter().enumerate() {
             for (gi, f) in index.fns.iter().enumerate() {
                 if f.is_test || f.binds.is_empty() {
                     continue;
                 }
-                let lanes = eval_fn(files, symbols, &summaries, (fi, gi));
+                let lanes = eval_fn(graph, &summaries, (fi, gi));
                 let Some(ret) = lanes.ret else { continue };
                 let sum = summarize(f, &ret);
                 if summaries.get(&(fi, gi)) != Some(&sum) {
@@ -1076,17 +1016,15 @@ fn fmt_lanes(m: u64) -> String {
 }
 
 /// Runs the bit-provenance rules (B1, B2) over the workspace.
-#[must_use]
-pub fn check_lanes(files: &[(String, FileIndex)]) -> Vec<Finding> {
-    let symbols = Symbols::build(files);
-    let summaries = compute_summaries(files, &symbols);
+pub(crate) fn check_lanes(graph: &CallGraph<'_>) -> Vec<Finding> {
+    let summaries = compute_summaries(graph);
     let mut findings = Vec::new();
-    for (fi, (path, index)) in files.iter().enumerate() {
+    for (fi, (path, index)) in graph.files.iter().enumerate() {
         for (gi, f) in index.fns.iter().enumerate() {
             if f.is_test || f.binds.is_empty() {
                 continue;
             }
-            let lanes = eval_fn(files, &symbols, &summaries, (fi, gi));
+            let lanes = eval_fn(graph, &summaries, (fi, gi));
             // Selector bindings: bounded, source-dependent, named.
             let sels: Vec<(&BindSite, &AbsVal)> = lanes
                 .vals
@@ -1227,7 +1165,12 @@ pub fn check_lock_order(files: &[(String, FileIndex)]) -> Vec<Finding> {
     }
     let mut findings = Vec::new();
     for ((a, b), &(fi, line)) in &edges {
-        let Some(path_back) = bfs_path(&adj, b, a) else {
+        let Some(path_back) = shortest_path(
+            &[b.as_str()],
+            usize::MAX,
+            |n| adj.get(n).into_iter().flatten().copied(),
+            |n| n == a.as_str(),
+        ) else {
             continue;
         };
         // `path_back` = [b, .., a]; the cycle's nodes are those plus a.
@@ -1265,44 +1208,12 @@ fn hop(
     from: &str,
     to: &str,
 ) -> String {
-    match edges.get(&(from.to_string(), to.to_string())) {
-        Some(&(fi, line)) => format!(
-            "{}:{line} `{to}` acquired while holding `{from}`",
-            files[fi].0
-        ),
-        None => format!("`{to}` acquired while holding `{from}`"),
-    }
-}
-
-/// Deterministic BFS: shortest node path from `from` to `to` (both
-/// inclusive), or `None` when unreachable.
-fn bfs_path<'a>(
-    adj: &BTreeMap<&'a str, Vec<&'a str>>,
-    from: &'a str,
-    to: &'a str,
-) -> Option<Vec<&'a str>> {
-    let mut parent: BTreeMap<&str, &str> = BTreeMap::new();
-    let mut queue = std::collections::VecDeque::from([from]);
-    parent.insert(from, from);
-    while let Some(n) = queue.pop_front() {
-        if n == to {
-            let mut path = vec![n];
-            let mut cur = n;
-            while parent[cur] != cur {
-                cur = parent[cur];
-                path.push(cur);
-            }
-            path.reverse();
-            return Some(path);
-        }
-        for next in adj.get(n).into_iter().flatten() {
-            if !parent.contains_key(next) {
-                parent.insert(next, n);
-                queue.push_back(next);
-            }
-        }
-    }
-    None
+    // Every cycle hop is a graph edge, so it has a witness.
+    let (fi, line) = edges[&(from.to_string(), to.to_string())];
+    format!(
+        "{}:{line} `{to}` acquired while holding `{from}`",
+        files[fi].0
+    )
 }
 
 // ---------------------------------------------------------------------
@@ -1320,11 +1231,9 @@ const UNIT_TYPES: &[(&str, &str)] = &[
 
 /// Unit of measure for an identifier, from its declared newtype or its
 /// trailing `_suffix` (a bare `ns`/`bytes`/... name also counts).
-fn unit_of(name: &str, typed: &BTreeMap<String, String>) -> Option<&'static str> {
-    if let Some(ty) = typed.get(name) {
-        if let Some((_, unit)) = UNIT_TYPES.iter().find(|(t, _)| t == ty) {
-            return Some(unit);
-        }
+fn unit_of(name: &str, declared: Option<&str>) -> Option<&'static str> {
+    if let Some((_, unit)) = UNIT_TYPES.iter().find(|(t, _)| Some(*t) == declared) {
+        return Some(unit);
     }
     let suffix = name.rsplit('_').next().unwrap_or(name);
     match suffix {
@@ -1373,8 +1282,8 @@ pub fn check_units(path: &str, toks: &[Tok], index: &FileIndex, findings: &mut V
             continue;
         }
         let (Some(ul), Some(ur)) = (
-            unit_of(&lhs.text, &index.typed),
-            unit_of(&rhs.text, &index.typed),
+            unit_of(&lhs.text, index.decls.declared_type(&lhs.text)),
+            unit_of(&rhs.text, index.decls.declared_type(&rhs.text)),
         ) else {
             continue;
         };
@@ -1420,22 +1329,33 @@ mod tests {
     }
 
     #[test]
-    fn decode_classifies_words() {
-        let toks = decode("addr > > 10 & 0xF # ?");
-        let kinds: Vec<EKind> = toks.iter().map(|(k, _)| *k).collect();
-        assert_eq!(
-            kinds,
-            vec![
-                EKind::Ident,
-                EKind::Punct('>'),
-                EKind::Punct('>'),
-                EKind::Num,
-                EKind::Punct('&'),
-                EKind::Num,
-                EKind::Opaque,
-                EKind::Punct('?'),
-            ]
-        );
+    fn eval_classifies_token_kinds() {
+        let addr = AbsVal {
+            deps: BTreeMap::from([(
+                0,
+                Lanes {
+                    lanes: u64::MAX,
+                    shift: Some(0),
+                    folded: 0,
+                },
+            )]),
+            ..AbsVal::default()
+        };
+        let env = BTreeMap::from([("addr".to_string(), addr)]);
+        let resolve =
+            |_: Option<&str>, _: &str, _: Option<&str>, _: bool, _: &[AbsVal]| AbsVal::default();
+        let eval = |src: &str| eval_tokens(&tokenize(src).toks, &env, &BTreeMap::new(), &resolve);
+        // Identifier, punctuation and numbers: bits 10-13 of `addr`.
+        let v = eval("(addr >> 10) & 0xF");
+        assert_eq!(v.deps[&0].lanes, 0xF << 10);
+        assert_eq!(v.bound, Some(16));
+        // A string literal is a value with no tracked lanes.
+        assert_eq!(eval("\"bank\""), AbsVal::default());
+        // A stray `?` fails the parse: the fallback keeps the mentioned
+        // identifiers' lanes, smeared.
+        let v = eval("? addr");
+        assert_eq!(v.deps[&0].lanes, u64::MAX);
+        assert_eq!(v.deps[&0].shift, None);
     }
 
     #[test]
@@ -1444,8 +1364,7 @@ mod tests {
             "a.rs",
             "fn ch(addr: u64) -> u64 { let c = (addr >> 8) & 0xF; c }\n",
         )]);
-        let symbols = Symbols::build(&fs);
-        let lanes = eval_fn(&fs, &symbols, &BTreeMap::new(), (0, 0));
+        let lanes = eval_fn(&CallGraph::build(&fs), &BTreeMap::new(), (0, 0));
         let (_, v) = &lanes.vals[0];
         let l = v.deps.get(&0).expect("dep on addr");
         assert_eq!(l.lanes, 0xF << 8);
@@ -1460,8 +1379,7 @@ mod tests {
             "a.rs",
             "fn mix(block: u64) -> u64 { let g = block ^ (block >> 13); g }\n",
         )]);
-        let symbols = Symbols::build(&fs);
-        let lanes = eval_fn(&fs, &symbols, &BTreeMap::new(), (0, 0));
+        let lanes = eval_fn(&CallGraph::build(&fs), &BTreeMap::new(), (0, 0));
         let (_, v) = &lanes.vals[0];
         let l = v.deps.get(&0).expect("dep on block");
         assert_eq!(l.lanes, u64::MAX);
@@ -1476,9 +1394,9 @@ mod tests {
             "fn low(x: u64) -> u64 { x & 0xFF }\n\
              fn user(addr: u64) -> u64 { let v = low(addr >> 4); v }\n",
         )]);
-        let symbols = Symbols::build(&fs);
-        let summaries = compute_summaries(&fs, &symbols);
-        let lanes = eval_fn(&fs, &symbols, &summaries, (0, 1));
+        let graph = CallGraph::build(&fs);
+        let summaries = compute_summaries(&graph);
+        let lanes = eval_fn(&graph, &summaries, (0, 1));
         let (_, v) = &lanes.vals[0];
         let l = v.deps.get(&0).expect("dep on addr");
         // low() keeps param bits 0-7; the arg is addr >> 4, so source
@@ -1492,8 +1410,7 @@ mod tests {
             "a.rs",
             "fn f(addr: u64) -> u64 { let v = helper_unknown(addr).leading_zeros() as u64; v }\n",
         )]);
-        let symbols = Symbols::build(&fs);
-        let lanes = eval_fn(&fs, &symbols, &BTreeMap::new(), (0, 0));
+        let lanes = eval_fn(&CallGraph::build(&fs), &BTreeMap::new(), (0, 0));
         let (_, v) = &lanes.vals[0];
         let l = v.deps.get(&0).expect("dep survives saturation");
         assert_eq!(l.lanes, u64::MAX);
@@ -1503,13 +1420,12 @@ mod tests {
 
     #[test]
     fn units_resolve_from_suffix_and_newtype() {
-        let typed = BTreeMap::from([("t".to_string(), "SimTime".to_string())]);
-        assert_eq!(unit_of("lat_ns", &typed), Some("time"));
-        assert_eq!(unit_of("t", &typed), Some("time"));
-        assert_eq!(unit_of("window_cycles", &typed), Some("cycles"));
-        assert_eq!(unit_of("ic_mib", &typed), Some("bytes"));
-        assert_eq!(unit_of("bananas", &typed), None);
-        assert_eq!(unit_of("runs", &typed), None);
+        assert_eq!(unit_of("lat_ns", None), Some("time"));
+        assert_eq!(unit_of("t", Some("SimTime")), Some("time"));
+        assert_eq!(unit_of("window_cycles", None), Some("cycles"));
+        assert_eq!(unit_of("ic_mib", None), Some("bytes"));
+        assert_eq!(unit_of("bananas", None), None);
+        assert_eq!(unit_of("runs", None), None);
     }
 
     #[test]

@@ -1,11 +1,13 @@
-//! Workspace call graph and the H2 `hot-path-reach` pass.
+//! The workspace call graph and the H2 `hot-path-reach` and N1
+//! `nondet-taint` passes.
 //!
-//! The symbol table maps function names (and `(owner, name)` pairs for
-//! methods) to their defining [`FnItem`]s across every indexed file.
-//! For each call site inside a `lint:hot-path` fence, a breadth-first
-//! walk follows resolvable calls until it reaches a function that
-//! allocates; the shortest such chain becomes the finding's evidence
-//! (`via path:line \`name\`` hops in the report).
+//! `CallGraph` maps function names (and `(owner, name)` pairs for
+//! methods) to their defining fn items across every indexed file and
+//! resolves every call site once into a callee adjacency. H2, N1 and
+//! the abstract interpreter's summary fixpoint share it, and H2, N1 and
+//! L3 share one deterministic breadth-first search, `shortest_path`,
+//! whose chain becomes a finding's evidence (`via path:line \`name\``
+//! hops).
 //!
 //! Resolution is deliberately conservative about *qualified* names:
 //! `Vec::new(..)` only resolves to a workspace `impl Vec` (there is
@@ -18,7 +20,7 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use crate::findings::{Finding, Rule};
-use crate::parse::{FileIndex, NondetSite};
+use crate::parse::{CallSite, FileIndex, NondetSite};
 
 /// BFS depth cap: chains longer than this are beyond what a reviewer
 /// can audit and almost certainly heuristic noise.
@@ -135,105 +137,163 @@ const COMMON_STD_METHODS: &[&str] = &[
 /// A function key: (file index, fn index).
 pub(crate) type FnKey = (usize, usize);
 
-/// Workspace symbol table: conservative, deterministic resolution of
-/// call sites to candidate definitions. Shared with the abstract
-/// interpreter's summary propagation (`absint`).
-pub(crate) struct Symbols<'a> {
-    files: &'a [(String, FileIndex)],
+/// The workspace call graph: a conservative, deterministic symbol table
+/// plus every non-test fn's callees, resolved once and shared by H2, N1
+/// and the abstract interpreter's summary fixpoint ([`crate::absint`]).
+pub(crate) struct CallGraph<'a> {
+    pub(crate) files: &'a [(String, FileIndex)],
     /// name → definitions (test items excluded).
     by_name: BTreeMap<&'a str, Vec<FnKey>>,
     /// (owner, name) → definitions.
     by_owner: BTreeMap<(&'a str, &'a str), Vec<FnKey>>,
+    /// `callees[file][fn]`: resolved targets in call-site order, each
+    /// once; empty for test fns.
+    callees: Vec<Vec<Vec<FnKey>>>,
 }
 
-impl<'a> Symbols<'a> {
-    pub(crate) fn build(files: &'a [(String, FileIndex)]) -> Symbols<'a> {
-        let mut by_name: BTreeMap<&str, Vec<FnKey>> = BTreeMap::new();
-        let mut by_owner: BTreeMap<(&str, &str), Vec<FnKey>> = BTreeMap::new();
+impl<'a> CallGraph<'a> {
+    pub(crate) fn build(files: &'a [(String, FileIndex)]) -> CallGraph<'a> {
+        let mut graph = CallGraph {
+            files,
+            by_name: BTreeMap::new(),
+            by_owner: BTreeMap::new(),
+            callees: Vec::new(),
+        };
         for (fi, (_, index)) in files.iter().enumerate() {
-            for (gi, f) in index.fns.iter().enumerate() {
-                if f.is_test {
-                    continue;
-                }
-                by_name.entry(&f.name).or_default().push((fi, gi));
+            for (gi, f) in index.fns.iter().enumerate().filter(|(_, f)| !f.is_test) {
+                graph.by_name.entry(&f.name).or_default().push((fi, gi));
                 if let Some(owner) = &f.owner {
-                    by_owner
-                        .entry((owner.as_str(), f.name.as_str()))
-                        .or_default()
-                        .push((fi, gi));
+                    let defs = graph.by_owner.entry((owner, &f.name)).or_default();
+                    defs.push((fi, gi));
                 }
             }
         }
-        Symbols {
-            files,
-            by_name,
-            by_owner,
+        for (fi, (_, index)) in files.iter().enumerate() {
+            let mut per_fn = Vec::new();
+            for (gi, f) in index.fns.iter().enumerate() {
+                let mut out: Vec<FnKey> = Vec::new();
+                for call in f.calls.iter().filter(|_| !f.is_test) {
+                    for key in graph.resolve(call, fi, (fi, gi)) {
+                        if !out.contains(&key) {
+                            out.push(key);
+                        }
+                    }
+                }
+                per_fn.push(out);
+            }
+            graph.callees.push(per_fn);
         }
+        graph
     }
 
     /// Resolves one call site made from `caller` (used for `Self::` and
     /// `self.` receivers) in file `file_idx`. Deterministic order.
-    pub(crate) fn resolve(
-        &self,
-        call: &crate::parse::CallSite,
-        file_idx: usize,
-        caller: FnKey,
-    ) -> Vec<FnKey> {
+    pub(crate) fn resolve(&self, call: &CallSite, file_idx: usize, caller: FnKey) -> Vec<FnKey> {
         let caller_owner = self.files[caller.0].1.fns[caller.1].owner.as_deref();
-        let owned = |owner: Option<&str>, name: &str| -> Vec<FnKey> {
+        let owned = |owner: Option<&str>| -> Vec<FnKey> {
             owner
-                .and_then(|o| self.by_owner.get(&(o, name)))
+                .and_then(|o| self.by_owner.get(&(o, call.callee.as_str())))
                 .cloned()
                 .unwrap_or_default()
         };
         if let Some(q) = call.qual.as_deref() {
             // Qualified calls resolve only within the named type —
             // `Vec::new` must not match every workspace `new`.
-            let owner = if q == "Self" { caller_owner } else { Some(q) };
-            return owned(owner, &call.callee);
+            return owned(if q == "Self" { caller_owner } else { Some(q) });
         }
         if call.method {
             if let Some(r) = call.recv.as_deref() {
                 if r == "self" {
-                    return owned(caller_owner, &call.callee);
+                    return owned(caller_owner);
                 }
                 // Declaration-typed receiver: resolve within that type
                 // only (even when empty — a `HashMap` receiver must not
                 // fan out to every same-named workspace method).
-                if let Some(ty) = self.files[file_idx].1.typed.get(r) {
-                    if ty != "?" {
-                        return owned(Some(ty), &call.callee);
-                    }
+                if let Some(ty) = self.files[file_idx].1.decls.declared_type(r) {
+                    return owned(Some(ty));
                 }
             }
-            // Unknown receiver: every non-test method with this name —
-            // unless the name is a common std method, where name-only
-            // fan-out would misattribute std calls to workspace code.
+            // Unknown receiver: a common std method name never fans out
+            // (it would misattribute std calls to workspace code).
             if COMMON_STD_METHODS.contains(&call.callee.as_str()) {
                 return Vec::new();
             }
-            return self
-                .by_name
-                .get(call.callee.as_str())
-                .map(|v| {
-                    v.iter()
-                        .copied()
-                        .filter(|&(fi, gi)| self.files[fi].1.fns[gi].has_self)
-                        .collect()
-                })
-                .unwrap_or_default();
         }
-        // Bare call: free functions with this name.
-        self.by_name
-            .get(call.callee.as_str())
-            .map(|v| {
-                v.iter()
-                    .copied()
-                    .filter(|&(fi, gi)| !self.files[fi].1.fns[gi].has_self)
-                    .collect()
-            })
-            .unwrap_or_default()
+        // Unknown receiver: every non-test method with this name; bare
+        // call: every free function with it.
+        let defs = self.by_name.get(call.callee.as_str()).into_iter().flatten();
+        defs.copied()
+            .filter(|&(fi, gi)| self.files[fi].1.fns[gi].has_self == call.method)
+            .collect()
     }
+
+    pub(crate) fn callees(&self, (fi, gi): FnKey) -> &[FnKey] {
+        &self.callees[fi][gi]
+    }
+
+    /// One evidence hop: `path:line \`Owner::name\``.
+    fn hop(&self, (fi, gi): FnKey) -> String {
+        let (path, index) = &self.files[fi];
+        format!("{path}:{} `{}`", index.fns[gi].line, fn_label(index, gi))
+    }
+}
+
+/// Deterministic breadth-first search: the shortest path, as the node
+/// list `start..=goal` of at most `max_len` nodes, from one of `starts`
+/// to a node `goal` accepts. Ties break by start order, then by `succ`
+/// order. Shared by H2, N1 and L3.
+pub(crate) fn shortest_path<N, I>(
+    starts: &[N],
+    max_len: usize,
+    succ: impl Fn(N) -> I,
+    goal: impl Fn(N) -> bool,
+) -> Option<Vec<N>>
+where
+    N: Copy + Ord,
+    I: IntoIterator<Item = N>,
+{
+    // Parent links double as the visited set; a start is its own parent.
+    let mut parent: BTreeMap<N, N> = BTreeMap::new();
+    let mut queue: VecDeque<(N, usize)> = VecDeque::new();
+    let mut found = None;
+    for &s in starts {
+        if parent.contains_key(&s) {
+            continue;
+        }
+        parent.insert(s, s);
+        if goal(s) {
+            found = Some(s);
+            break;
+        }
+        queue.push_back((s, 1));
+    }
+    while found.is_none() {
+        let Some((n, len)) = queue.pop_front() else {
+            break;
+        };
+        if len >= max_len {
+            continue;
+        }
+        for m in succ(n) {
+            if parent.contains_key(&m) {
+                continue;
+            }
+            parent.insert(m, n);
+            if goal(m) {
+                found = Some(m);
+                break;
+            }
+            queue.push_back((m, len + 1));
+        }
+    }
+    let mut n = found?;
+    let mut path = vec![n];
+    while parent[&n] != n {
+        n = parent[&n];
+        path.push(n);
+    }
+    path.reverse();
+    Some(path)
 }
 
 /// Display name for a function: `Owner::name` or `name`.
@@ -245,113 +305,64 @@ fn fn_label(index: &FileIndex, gi: usize) -> String {
     }
 }
 
-/// Runs the H2 `hot-path-reach` pass over a set of per-file indexes.
-/// `files` must be sorted by path for deterministic output. Emits one
-/// finding per fenced call site whose callee transitively allocates,
-/// carrying the shortest call chain as evidence.
-#[must_use]
-pub fn check_reachable_allocs(files: &[(String, FileIndex)]) -> Vec<Finding> {
-    let symbols = Symbols::build(files);
+/// Runs the H2 `hot-path-reach` pass (files sorted by path for
+/// deterministic output). Emits one finding per fenced call site whose
+/// callee transitively allocates, carrying the shortest call chain as
+/// evidence.
+pub(crate) fn check_reachable_allocs(graph: &CallGraph<'_>) -> Vec<Finding> {
     let mut findings = Vec::new();
-    for (fi, (path, index)) in files.iter().enumerate() {
+    for (fi, (path, index)) in graph.files.iter().enumerate() {
         for (gi, f) in index.fns.iter().enumerate() {
             if f.is_test {
                 continue;
             }
             for call in f.calls.iter().filter(|c| c.in_fence) {
-                if let Some(finding) = trace_call(&symbols, path, fi, (fi, gi), call) {
-                    findings.push(finding);
-                }
+                let starts = graph.resolve(call, fi, (fi, gi));
+                let Some(chain) = shortest_path(
+                    &starts,
+                    MAX_CHAIN,
+                    |k| graph.callees(k).iter().copied(),
+                    |(tfi, tgi)| !graph.files[tfi].1.fns[tgi].allocs.is_empty(),
+                ) else {
+                    continue;
+                };
+                let (tfi, tgi) = chain[chain.len() - 1];
+                let (tpath, tindex) = &graph.files[tfi];
+                let alloc = &tindex.fns[tgi].allocs[0];
+                let mut evidence: Vec<String> = chain.iter().map(|&k| graph.hop(k)).collect();
+                evidence.push(format!("{tpath}:{} {}", alloc.line, alloc.what));
+                findings.push(
+                    Finding::new(
+                        Rule::HotPathReach,
+                        path,
+                        call.line,
+                        format!(
+                            "`{}` is called inside a `lint:hot-path` fence but reaches an allocation ({} in `{}`)",
+                            call.callee,
+                            alloc.what,
+                            fn_label(tindex, tgi),
+                        ),
+                    )
+                    .with_chain(evidence),
+                );
             }
         }
     }
     findings
 }
 
-/// BFS from one fenced call site; returns the finding for the shortest
-/// allocation chain, if any callee transitively allocates.
-fn trace_call(
-    symbols: &Symbols<'_>,
-    path: &str,
-    file_idx: usize,
-    caller: FnKey,
-    call: &crate::parse::CallSite,
-) -> Option<Finding> {
-    let mut queue: VecDeque<(FnKey, Vec<String>)> = VecDeque::new();
-    let mut visited: BTreeSet<FnKey> = BTreeSet::new();
-    for key @ (tfi, tgi) in symbols.resolve(call, file_idx, caller) {
-        if visited.insert(key) {
-            let index = &symbols.files[tfi].1;
-            queue.push_back((
-                key,
-                vec![format!(
-                    "{}:{} `{}`",
-                    symbols.files[tfi].0,
-                    index.fns[tgi].line,
-                    fn_label(index, tgi)
-                )],
-            ));
-        }
-    }
-    while let Some(((tfi, tgi), chain)) = queue.pop_front() {
-        let (tpath, index) = &symbols.files[tfi];
-        let f = &index.fns[tgi];
-        if let Some(alloc) = f.allocs.first() {
-            let mut chain = chain;
-            chain.push(format!("{tpath}:{} {}", alloc.line, alloc.what));
-            return Some(
-                Finding::new(
-                    Rule::HotPathReach,
-                    path,
-                    call.line,
-                    format!(
-                        "`{}` is called inside a `lint:hot-path` fence but reaches an allocation ({} in `{}`)",
-                        call.callee,
-                        alloc.what,
-                        fn_label(index, tgi),
-                    ),
-                )
-                .with_chain(chain),
-            );
-        }
-        if chain.len() >= MAX_CHAIN {
-            continue;
-        }
-        for next in &f.calls {
-            for key @ (nfi, ngi) in symbols.resolve(next, tfi, (tfi, tgi)) {
-                if visited.insert(key) {
-                    let nindex = &symbols.files[nfi].1;
-                    let mut c = chain.clone();
-                    c.push(format!(
-                        "{}:{} `{}`",
-                        symbols.files[nfi].0,
-                        nindex.fns[ngi].line,
-                        fn_label(nindex, ngi)
-                    ));
-                    queue.push_back((key, c));
-                }
-            }
-        }
-    }
-    None
-}
-
-/// Runs the N1 `nondet-taint` pass over a set of per-file indexes
-/// (`files` sorted by path for deterministic output).
+/// Runs the N1 `nondet-taint` pass (files sorted by path for
+/// deterministic output).
 ///
 /// Taint seeds are the parser's [`NondetSite`]s (plus hash-order sites
 /// injected by the hash-iter rule), minus sources covered by a
 /// *verified* `lint:order-invisible` fence. Seeds propagate backward
-/// over the conservative call graph (caller of tainted is tainted);
-/// every non-test sink root — a fn named `to_json`/`merge`/`snapshot` —
-/// that ends up tainted gets one finding carrying the shortest
-/// source chain as H2-style `via` evidence.
-///
-/// The call graph is resolved once into an adjacency map shared by the
-/// backward taint pass and every per-root forward chain search — the
-/// per-rule reachability cache that keeps the pass linear in calls.
-#[must_use]
-pub fn check_nondet_taint(files: &[(String, FileIndex)]) -> Vec<Finding> {
+/// over the call graph (caller of tainted is tainted); every non-test
+/// sink root — a fn named `to_json`/`merge`/`snapshot` — that ends up
+/// tainted gets one finding carrying the shortest source chain as
+/// H2-style `via` evidence.
+pub(crate) fn check_nondet_taint(graph: &CallGraph<'_>) -> Vec<Finding> {
+    let files = graph.files;
     // Active (un-suppressed) sources per fn.
     let mut sources: BTreeMap<FnKey, Vec<&NondetSite>> = BTreeMap::new();
     for (fi, (_, index)) in files.iter().enumerate() {
@@ -373,29 +384,12 @@ pub fn check_nondet_taint(files: &[(String, FileIndex)]) -> Vec<Finding> {
         return Vec::new();
     }
 
-    let symbols = Symbols::build(files);
-    // Resolve every call site once; `edges` is reused by the backward
-    // worklist and every forward chain search below.
-    let mut edges: BTreeMap<FnKey, Vec<FnKey>> = BTreeMap::new();
-    for (fi, (_, index)) in files.iter().enumerate() {
-        for (gi, f) in index.fns.iter().enumerate() {
-            if f.is_test {
-                continue;
-            }
-            let mut out: Vec<FnKey> = f
-                .calls
-                .iter()
-                .flat_map(|call| symbols.resolve(call, fi, (fi, gi)))
-                .collect();
-            out.sort_unstable();
-            out.dedup();
-            edges.insert((fi, gi), out);
-        }
-    }
     let mut rev: BTreeMap<FnKey, Vec<FnKey>> = BTreeMap::new();
-    for (&k, outs) in &edges {
-        for &o in outs {
-            rev.entry(o).or_default().push(k);
+    for (fi, (_, index)) in files.iter().enumerate() {
+        for gi in 0..index.fns.len() {
+            for &o in graph.callees((fi, gi)) {
+                rev.entry(o).or_default().push((fi, gi));
+            }
         }
     }
 
@@ -413,78 +407,47 @@ pub fn check_nondet_taint(files: &[(String, FileIndex)]) -> Vec<Finding> {
     let mut findings = Vec::new();
     for (fi, (path, index)) in files.iter().enumerate() {
         for (gi, f) in index.fns.iter().enumerate() {
-            if f.is_test || !SINK_ROOTS.contains(&f.name.as_str()) {
-                continue;
-            }
             let root = (fi, gi);
-            if !tainted.contains(&root) {
+            if f.is_test || !SINK_ROOTS.contains(&f.name.as_str()) || !tainted.contains(&root) {
                 continue;
             }
-            if let Some((chain, site)) =
-                shortest_source_chain(&symbols, &edges, &sources, &tainted, root)
-            {
-                findings.push(
-                    Finding::new(
-                        Rule::NondetTaint,
-                        path,
-                        f.line,
-                        format!(
-                            "`{}` emits summary/merged state but transitively reaches nondeterminism source {} ({}); make the value deterministic, fold in fixed order behind a `lint:order-invisible` fence, or waive with `// lint:allow(nondet-taint) <reason>`",
-                            fn_label(index, gi),
-                            site.what,
-                            site.kind.name(),
-                        ),
-                    )
-                    .with_chain(chain),
-                );
-            }
+            // The root itself is hop 0, so the cap allows MAX_CHAIN
+            // hops below it.
+            let Some(chain) = shortest_path(
+                &[root],
+                MAX_CHAIN + 1,
+                |k| {
+                    graph
+                        .callees(k)
+                        .iter()
+                        .copied()
+                        .filter(|n| tainted.contains(n))
+                },
+                |k| sources.contains_key(&k),
+            ) else {
+                continue;
+            };
+            let last = chain[chain.len() - 1];
+            let site = sources[&last][0];
+            let mut evidence: Vec<String> = chain[1..].iter().map(|&k| graph.hop(k)).collect();
+            evidence.push(format!("{}:{} {}", files[last.0].0, site.line, site.what));
+            findings.push(
+                Finding::new(
+                    Rule::NondetTaint,
+                    path,
+                    f.line,
+                    format!(
+                        "`{}` emits summary/merged state but transitively reaches nondeterminism source {} ({}); make the value deterministic, fold in fixed order behind a `lint:order-invisible` fence, or waive with `// lint:allow(nondet-taint) <reason>`",
+                        fn_label(index, gi),
+                        site.what,
+                        site.kind.name(),
+                    ),
+                )
+                .with_chain(evidence),
+            );
         }
     }
     findings
-}
-
-/// Forward BFS from a tainted sink root, restricted to tainted fns,
-/// for the shortest chain to a fn holding an active source. Hops use
-/// the H2 evidence format; the terminal entry names the source site.
-fn shortest_source_chain<'a>(
-    symbols: &Symbols<'_>,
-    edges: &BTreeMap<FnKey, Vec<FnKey>>,
-    sources: &BTreeMap<FnKey, Vec<&'a NondetSite>>,
-    tainted: &BTreeSet<FnKey>,
-    root: FnKey,
-) -> Option<(Vec<String>, &'a NondetSite)> {
-    if let Some(sites) = sources.get(&root) {
-        let site = sites[0];
-        let path = &symbols.files[root.0].0;
-        return Some((vec![format!("{path}:{} {}", site.line, site.what)], site));
-    }
-    let mut queue: VecDeque<(FnKey, Vec<String>)> = VecDeque::new();
-    let mut visited: BTreeSet<FnKey> = BTreeSet::new();
-    visited.insert(root);
-    queue.push_back((root, Vec::new()));
-    while let Some((key, chain)) = queue.pop_front() {
-        for &next in edges.get(&key).into_iter().flatten() {
-            if !tainted.contains(&next) || !visited.insert(next) {
-                continue;
-            }
-            let (npath, nindex) = &symbols.files[next.0];
-            let mut c = chain.clone();
-            c.push(format!(
-                "{npath}:{} `{}`",
-                nindex.fns[next.1].line,
-                fn_label(nindex, next.1)
-            ));
-            if let Some(sites) = sources.get(&next) {
-                let site = sites[0];
-                c.push(format!("{npath}:{} {}", site.line, site.what));
-                return Some((c, site));
-            }
-            if c.len() < MAX_CHAIN {
-                queue.push_back((next, c));
-            }
-        }
-    }
-    None
 }
 
 #[cfg(test)]
@@ -524,7 +487,7 @@ pub fn widen(x: u64) -> u64 {
             ("crates/x/src/fenced.rs", fenced),
             ("crates/x/src/helper.rs", helper),
         ]);
-        let findings = check_reachable_allocs(&files);
+        let findings = check_reachable_allocs(&CallGraph::build(&files));
         assert_eq!(findings.len(), 1, "{findings:?}");
         let f = &findings[0];
         assert_eq!(f.rule, Rule::HotPathReach);
@@ -554,7 +517,7 @@ fn hot(x: u64) -> u64 {
 fn double(x: u64) -> u64 { x * 2 }
 ",
         )]);
-        assert!(check_reachable_allocs(&files).is_empty());
+        assert!(check_reachable_allocs(&CallGraph::build(&files)).is_empty());
     }
 
     #[test]
@@ -580,7 +543,7 @@ fn hot(ws: &Workspace) -> u32 {
 }
 ",
         )]);
-        assert!(check_reachable_allocs(&files).is_empty());
+        assert!(check_reachable_allocs(&CallGraph::build(&files)).is_empty());
     }
 
     #[test]
@@ -600,7 +563,7 @@ impl S {
 }
 ",
         )]);
-        let findings = check_reachable_allocs(&files);
+        let findings = check_reachable_allocs(&CallGraph::build(&files));
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].chain.len(), 3);
         assert!(findings[0].chain[0].ends_with("`S::step`"));
@@ -629,7 +592,7 @@ impl Summary {
             ("crates/x/src/sink.rs", sink_file),
             ("crates/x/src/source.rs", source_file),
         ]);
-        let findings = check_nondet_taint(&files);
+        let findings = check_nondet_taint(&CallGraph::build(&files));
         assert_eq!(findings.len(), 1, "{findings:?}");
         let f = &findings[0];
         assert_eq!(f.rule, Rule::NondetTaint);
@@ -662,7 +625,7 @@ impl Tally {
 }
 ",
         )]);
-        assert!(check_nondet_taint(&files).is_empty());
+        assert!(check_nondet_taint(&CallGraph::build(&files)).is_empty());
     }
 
     #[test]
@@ -679,13 +642,50 @@ impl Tally {
 }
 ",
         )]);
-        let findings = check_nondet_taint(&files);
+        let findings = check_nondet_taint(&CallGraph::build(&files));
         assert_eq!(findings.len(), 1, "{findings:?}");
         assert_eq!(findings[0].line, 3);
         assert_eq!(
             findings[0].chain,
             vec!["crates/x/src/a.rs:4 `available_parallelism()`".to_string()]
         );
+    }
+
+    #[test]
+    fn shortest_path_is_shortest_deterministic_and_capped() {
+        // 0 → 1 → 2 → 9 (three hops) and 0 → 3 → 9 (two), plus a tie:
+        // 4 → {5, 6} → 9 resolves by successor order.
+        let adj: BTreeMap<u32, Vec<u32>> = BTreeMap::from([
+            (0, vec![1, 3]),
+            (1, vec![2]),
+            (2, vec![9]),
+            (3, vec![9]),
+            (4, vec![6, 5]),
+            (5, vec![9]),
+            (6, vec![9]),
+        ]);
+        let succ = |n: u32| adj.get(&n).cloned().unwrap_or_default();
+        let to_nine = |n: u32| n == 9;
+        assert_eq!(
+            shortest_path(&[0], MAX_CHAIN, succ, to_nine),
+            Some(vec![0, 3, 9])
+        );
+        assert_eq!(
+            shortest_path(&[4], MAX_CHAIN, succ, to_nine),
+            Some(vec![4, 6, 9])
+        );
+        // Start order breaks ties between equally short starts.
+        assert_eq!(
+            shortest_path(&[6, 5], MAX_CHAIN, succ, to_nine),
+            Some(vec![6, 9])
+        );
+        assert_eq!(shortest_path(&[9], MAX_CHAIN, succ, to_nine), Some(vec![9]));
+
+        // A 9-node line 0 → 1 → .. → 8 is one node past the cap.
+        let line = |n: u32| (n < 8).then_some(n + 1);
+        let chain = shortest_path(&[0], MAX_CHAIN, line, |n| n == 7).expect("8 nodes fit");
+        assert_eq!(chain.len(), MAX_CHAIN);
+        assert_eq!(shortest_path(&[0], MAX_CHAIN, line, |n| n == 8), None);
     }
 
     #[test]
@@ -706,6 +706,6 @@ mod tests {
 }
 ",
         )]);
-        assert!(check_reachable_allocs(&files).is_empty());
+        assert!(check_reachable_allocs(&CallGraph::build(&files)).is_empty());
     }
 }

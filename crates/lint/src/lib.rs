@@ -30,11 +30,14 @@
 //! | `unit-mixing`     | U1   | no additive arithmetic across units of measure   |
 //! | `scenario-schema` | S1   | `scenarios/*.json` match experiment schemas      |
 //!
-//! D1–D4, H1, R1, L1, L2, and U1 are single-file rules; H2, N1, L3,
-//! and the bit-provenance rules B1/B2 walk the workspace call graph
-//! (and the [`absint`] lane summaries) built from the per-file
-//! indexes. Every run re-analyzes every file: there is no incremental
-//! cache, because parsing and rewriting one cost more than
+//! Each file is tokenized and walked once: [`parse::parse_file`] builds
+//! the [`FileIndex`] (fn items, calls, allocation sites, bindings,
+//! fences, lock and spawn sites, one declaration map) that the
+//! single-file rules D1–D4, H1, R1, L1, L2 and U1 read. The cross-file
+//! rules H2, N1, B1/B2 and L3 then share one resolved call graph and one
+//! shortest-chain search ([`callgraph`], with the [`absint`] lane
+//! summaries on top). Every run re-analyzes every file: there is no
+//! incremental cache, because parsing and rewriting one cost more than
 //! re-tokenizing the whole tree (DESIGN.md §11). The per-file work fans
 //! out across threads ([`LintConfig::jobs`]) and merges by file index,
 //! so the report is byte-identical across serial and parallel runs.
@@ -147,38 +150,66 @@ pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
 }
 
 /// Lints a set of in-memory sources: every single-file rule plus the
-/// cross-file H2 reachability and N1 taint passes, with inline waivers
-/// applied. The pure core of [`lint_workspace`], used directly by
-/// tests.
+/// cross-file passes, with inline waivers applied. The pure core of
+/// [`lint_workspace`], used directly by tests.
 #[must_use]
 pub fn lint_sources(sources: &[(&str, &str)]) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    let mut indexes: Vec<(String, FileIndex)> = Vec::new();
-    for (path, text) in sources {
-        let a = rules::analyze(path, text);
-        findings.extend(a.findings);
-        indexes.push(((*path).to_string(), a.index));
-    }
-    append_reachability(&mut findings, &indexes);
+    let mut findings = analyze_sources(sources, 1);
     findings::sort_dedup(&mut findings);
     findings
 }
 
-/// Runs the cross-file passes (H2 allocation reachability, N1 nondet
-/// taint, B1/B2 bit-provenance, L3 lock-order) over the per-file
-/// indexes and appends their findings, applying each root file's
-/// inline waivers.
-fn append_reachability(findings: &mut Vec<Finding>, indexes: &[(String, FileIndex)]) {
-    let mut cross = callgraph::check_reachable_allocs(indexes);
-    cross.append(&mut callgraph::check_nondet_taint(indexes));
-    cross.append(&mut absint::check_lanes(indexes));
-    cross.append(&mut absint::check_lock_order(indexes));
+/// Runs the single-file rules on `jobs` threads ([`LintConfig::jobs`]),
+/// then the cross-file passes (H2 allocation reachability, N1 nondet
+/// taint, B1/B2 bit-provenance, L3 lock-order) over one shared call
+/// graph, applying each root file's inline waivers. Each worker owns a
+/// contiguous slice of result slots and the merge walks files in index
+/// order, so the findings never depend on `jobs`.
+fn analyze_sources<S: AsRef<str> + Sync>(sources: &[(S, S)], jobs: usize) -> Vec<Finding> {
+    let jobs = match jobs {
+        // lint:order-invisible worker count only partitions the file list; the merge below folds results in file-index order
+        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        n => n,
+    }
+    .min(sources.len())
+    .max(1);
+    let mut analyses: Vec<Option<rules::Analysis>> = Vec::new();
+    analyses.resize_with(sources.len(), || None);
+    let analyze = |slots: &mut [Option<rules::Analysis>], files: &[(S, S)]| {
+        for (slot, (rel, text)) in slots.iter_mut().zip(files) {
+            *slot = Some(rules::analyze(rel.as_ref(), text.as_ref()));
+        }
+    };
+    if jobs <= 1 {
+        analyze(&mut analyses, sources);
+    } else {
+        let chunk = sources.len().div_ceil(jobs);
+        std::thread::scope(|scope| {
+            for (schunk, achunk) in sources.chunks(chunk).zip(analyses.chunks_mut(chunk)) {
+                scope.spawn(move || analyze(achunk, schunk));
+            }
+        });
+    }
+
+    let mut findings = Vec::new();
+    let mut indexes: Vec<(String, FileIndex)> = Vec::new();
+    for ((rel, _), a) in sources.iter().zip(analyses) {
+        let a = a.expect("every analysis slot is filled");
+        findings.extend(a.findings);
+        indexes.push((rel.as_ref().to_string(), a.index));
+    }
+    let graph = callgraph::CallGraph::build(&indexes);
+    let mut cross = callgraph::check_reachable_allocs(&graph);
+    cross.append(&mut callgraph::check_nondet_taint(&graph));
+    cross.append(&mut absint::check_lanes(&graph));
+    cross.append(&mut absint::check_lock_order(&indexes));
     for f in &mut cross {
         if let Some((_, index)) = indexes.iter().find(|(p, _)| *p == f.path) {
             waiver::apply_inline(std::slice::from_mut(f), &index.waivers);
         }
     }
     findings.append(&mut cross);
+    findings
 }
 
 /// Lints every `crates/*/src/**/*.rs` file and every `scenarios/*.json`
@@ -204,47 +235,8 @@ pub fn lint_workspace(config: &LintConfig) -> io::Result<LintReport> {
         sources.push((rel_path(&config.root, path), fs::read_to_string(path)?));
     }
 
-    // Analyze every file, fanning out across worker threads when more
-    // than one is requested. Each worker owns a contiguous slice of
-    // result slots, and the merge below walks files in index order —
-    // the report is byte-identical to a serial run.
-    let jobs = match config.jobs {
-        // lint:order-invisible worker count only partitions the file list; the merge below folds results in file-index order
-        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
-        n => n,
-    }
-    .min(sources.len())
-    .max(1);
-    let mut analyses: Vec<Option<rules::Analysis>> = Vec::new();
-    analyses.resize_with(sources.len(), || None);
-    if jobs <= 1 {
-        for (slot, (rel, text)) in analyses.iter_mut().zip(&sources) {
-            *slot = Some(rules::analyze(rel, text));
-        }
-    } else {
-        let chunk = sources.len().div_ceil(jobs);
-        std::thread::scope(|scope| {
-            for (schunk, achunk) in sources.chunks(chunk).zip(analyses.chunks_mut(chunk)) {
-                scope.spawn(move || {
-                    for (slot, (rel, text)) in achunk.iter_mut().zip(schunk) {
-                        *slot = Some(rules::analyze(rel, text));
-                    }
-                });
-            }
-        });
-    }
-
-    let mut indexes: Vec<(String, FileIndex)> = Vec::new();
-    for ((rel, _), a) in sources.into_iter().zip(analyses) {
-        let a = a.expect("every analysis slot is filled");
-        report.findings.extend(a.findings);
-        indexes.push((rel, a.index));
-        report.files_scanned += 1;
-    }
-
-    // Cross-file passes: H2 reachability, N1 taint, B1/B2 lanes, and
-    // L3 lock-order over the graph.
-    append_reachability(&mut report.findings, &indexes);
+    report.findings = analyze_sources(&sources, config.jobs);
+    report.files_scanned = sources.len();
 
     // Scenario specs.
     let scen_dir = config.root.join("scenarios");

@@ -1,18 +1,20 @@
 //! The per-file item parser: a lightweight semantic layer on top of the
-//! tokenizer (DESIGN.md §11).
+//! tokenizer (DESIGN.md §11), and the only walk that extracts facts
+//! from a file's tokens.
 //!
 //! [`parse_file`] extracts every function item (name, owning `impl`
-//! type, `#[cfg(test)]`/`#[test]` context), its outgoing call sites and
-//! allocation sites, the `// lint:hot-path` fence regions, seed
-//! construction sites, and `spawn` closure captures — everything the
-//! cross-file rules (H2 hot-path-reach, R1 thread-capture, D4
-//! seed-discipline) need, without keeping the token stream around.
+//! type, `#[cfg(test)]`/`#[test]` context), its outgoing call sites,
+//! allocation sites and value bindings, the `// lint:hot-path` fence
+//! regions, seed construction sites, lock sites, and `spawn` closure
+//! captures — everything the rules and the cross-file passes read,
+//! without keeping the token stream around.
 //!
-//! Like the rest of the linter the parser is type-free and heuristic: a
-//! declaration heuristic maps identifiers to type names (`ws: &mut
-//! SolverWorkspace`, `x = RefCell::new(..)`, struct fields), which the
-//! call graph uses to resolve method receivers. It is a tripwire, not a
-//! proof — DESIGN.md §11 spells out the limits.
+//! Like the rest of the linter the parser is type-free and heuristic:
+//! one declaration walk ([`Decls`]) maps identifiers to the type names
+//! they are declared with (`ws: &mut SolverWorkspace`, `x =
+//! RefCell::new(..)`, struct fields), which receiver resolution, D1, R1,
+//! L2 and U1 query. It is a tripwire, not a proof — DESIGN.md §11 spells
+//! out the limits.
 
 use std::collections::BTreeMap;
 
@@ -31,13 +33,13 @@ pub const FENCE_END: &str = "lint:hot-path-end";
 pub const ORDER_FENCE: &str = "lint:order-invisible";
 
 /// Allocation entry points: methods called as `.name(`...
-pub const ALLOC_METHODS: &[&str] = &["clone", "to_vec", "to_string", "to_owned", "collect"];
+const ALLOC_METHODS: &[&str] = &["clone", "to_vec", "to_string", "to_owned", "collect"];
 /// ... constructor paths `Type::new` ...
-pub const ALLOC_TYPES: &[&str] = &["Vec", "String", "Box"];
+const ALLOC_TYPES: &[&str] = &["Vec", "String", "Box"];
 /// ... allocating macros `name!` ...
-pub const ALLOC_MACROS: &[&str] = &["format", "vec"];
+const ALLOC_MACROS: &[&str] = &["format", "vec"];
 /// ... and bare allocating calls.
-pub const ALLOC_BARE: &[&str] = &["with_capacity"];
+const ALLOC_BARE: &[&str] = &["with_capacity"];
 
 /// Cell-like types whose capture by a spawn closure races (R1).
 const CELL_TYPES: &[&str] = &["RefCell", "Cell", "Rc"];
@@ -103,25 +105,21 @@ pub const RET_BIND: &str = "=ret";
 /// Cap on captured binds per fn; a body past this is analysis-hostile
 /// and the abstract interpreter would saturate on it anyway.
 const MAX_BINDS: usize = 96;
-/// Cap on tokens per captured expression (oversized ones become the
-/// opaque `"?"` so the evaluator never mis-parses a truncation).
+/// Cap on tokens per captured expression (oversized ones are captured
+/// empty, which the evaluator reads as an unknown value, so it never
+/// mis-parses a truncation).
 const MAX_EXPR_TOKS: usize = 160;
 
 /// One captured value binding inside a function body — the abstract
 /// interpreter's input (B1/B2 bit-provenance, [`crate::absint`]).
-///
-/// `expr` holds the right-hand side as space-joined token texts in
-/// source order (string/char literals become `#`, oversized
-/// expressions become `?`); the interpreter re-classifies each word by
-/// its first character, so no token structure is lost.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BindSite {
     /// Bound identifier; [`RET_BIND`] for `return`/tail values.
     pub name: String,
     /// 1-based source line of the statement.
     pub line: u32,
-    /// Encoded right-hand-side token stream.
-    pub expr: String,
+    /// Right-hand-side tokens in source order.
+    pub expr: Vec<Tok>,
 }
 
 /// One function item.
@@ -303,16 +301,12 @@ pub struct FileIndex {
     /// Inline `lint:allow` waivers (kept so cross-file findings computed
     /// later can still be waived at their root line).
     pub waivers: Vec<InlineWaiver>,
-    /// Declaration-heuristic identifier types (`ws` → `SolverWorkspace`);
-    /// ambiguous identifiers map to `"?"`.
-    pub typed: BTreeMap<String, String>,
+    /// Declaration-heuristic identifier types (`ws` → `SolverWorkspace`).
+    pub decls: Decls,
     /// `lint:order-invisible` fences (N1).
     pub order_fences: Vec<OrderFence>,
     /// `.lock()` call sites with guard-liveness context (L1).
     pub locks: Vec<LockSite>,
-    /// Identifiers declared with a sync type (`Mutex`/`RwLock`/
-    /// `Atomic*`), first declaration wins (L2).
-    pub sync_typed: BTreeMap<String, String>,
     /// File-local integer constants (`const NUM_BANKS: u64 = 16;`), so
     /// the abstract interpreter can resolve selector bounds like
     /// `row % NUM_BANKS` (B1/B2).
@@ -401,142 +395,131 @@ pub fn order_fences(path: &str, file: &TokenizedFile) -> (Vec<OrderFence>, Vec<F
     (fences, findings)
 }
 
-/// Declaration-heuristic identifier typing: `name: [&][mut] Type`,
-/// struct fields, fn params, and `name = Type::new(..)`-style inits.
-/// Identifiers ascribed two different types collapse to `"?"`.
-fn typed_idents(toks: &[Tok]) -> BTreeMap<String, String> {
-    let mut out: BTreeMap<String, String> = BTreeMap::new();
-    let mut record = |name: &str, ty: &str| {
-        match out.get(name) {
-            Some(prev) if prev != ty => out.insert(name.to_string(), "?".to_string()),
-            Some(_) => None,
-            None => out.insert(name.to_string(), ty.to_string()),
-        };
-    };
-    for i in 0..toks.len() {
-        let t = &toks[i];
-        if t.kind != TokKind::Ident || !t.text.starts_with(char::is_uppercase) {
-            continue;
-        }
-        // Walk left over a `std::collections::`-style path prefix.
-        let mut j = i;
-        while j >= 3
-            && toks[j - 1].is_punct(':')
-            && toks[j - 2].is_punct(':')
-            && toks[j - 3].kind == TokKind::Ident
-        {
-            j -= 3;
-        }
-        if j == 0 {
-            continue;
-        }
-        // `name: [&][mut] Type` (let, fn param, struct field).
-        let mut k = j - 1;
-        while k > 0 && (toks[k].is_punct('&') || toks[k].is_ident("mut")) {
-            k -= 1;
-        }
-        if toks[k].is_punct(':')
-            && k >= 1
-            && toks[k - 1].kind == TokKind::Ident
-            && !(k >= 2 && toks[k - 2].is_punct(':'))
-        {
-            record(&toks[k - 1].text, &t.text);
-            continue;
-        }
-        // `name = Type::new(..)` / `= Type::default()` / `= Type::with_capacity(..)`.
-        if toks[k].is_punct('=')
-            && k >= 1
-            && toks[k - 1].kind == TokKind::Ident
-            && i + 4 < toks.len()
-            && toks[i + 1].is_punct(':')
-            && toks[i + 2].is_punct(':')
-            && toks[i + 3].kind == TokKind::Ident
-            && matches!(
-                toks[i + 3].text.as_str(),
-                "new" | "default" | "with_capacity"
-            )
-            && toks[i + 4].is_punct('(')
-        {
-            record(&toks[k - 1].text, &t.text);
-        }
-    }
-    out
+/// How a declaration ties an identifier to a type name.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum DeclForm {
+    /// `name: [&][mut] Type` — a `let`, fn parameter or struct field.
+    Ascribed,
+    /// `name = [&][mut] Type::{new,default,with_capacity}(..)`.
+    Constructed,
+    /// `name = [&][mut] Type..` with any other continuation.
+    Assigned,
+    /// `Type` a few tokens inside the ascription or initializer
+    /// (`name: Vec<Mutex<u64>>`, `name: &[AtomicU64]`).
+    Nested,
 }
 
-/// Sync-typed identifier detection for L2: any `Mutex`/`RwLock`/
-/// `Atomic*` mention whose short leftward walk (over path prefixes and
-/// container types like `Vec<..>`/`[..]`) lands on a `name:` ascription
-/// or `name =` binding records `name`. First declaration wins — the
-/// value only labels findings, membership is what matters.
-fn sync_typed_idents(toks: &[Tok]) -> BTreeMap<String, String> {
-    let mut out: BTreeMap<String, String> = BTreeMap::new();
-    for i in 0..toks.len() {
-        let t = &toks[i];
-        if t.kind != TokKind::Ident
-            || !(t.text == "Mutex" || t.text == "RwLock" || t.text.starts_with("Atomic"))
-        {
-            continue;
-        }
-        // Walk left over a `std::sync::`-style path prefix.
-        let mut j = i;
-        while j >= 3
-            && toks[j - 1].is_punct(':')
-            && toks[j - 2].is_punct(':')
-            && toks[j - 3].kind == TokKind::Ident
-        {
-            j -= 3;
-        }
-        if j == 0 {
-            continue;
-        }
-        // Skip container/type tokens (`Vec<`, `[`, `(`, `&`, `mut`)
-        // between the binding and the sync type, bounded so expression
-        // contexts don't walk into unrelated code.
-        let mut k = j;
-        let mut steps = 0;
-        while k > 0 {
-            k -= 1;
-            steps += 1;
-            if steps > 8 {
-                k = 0;
-                break;
+/// Tokens a declaration walk may step left from a type name to its
+/// binder, so expression contexts never reach unrelated code.
+const MAX_DECL_WALK: usize = 8;
+
+/// The declaration heuristic: each identifier's capitalised type names,
+/// in source order, with how they were declared. One walk serves every
+/// rule; each query keeps its own semantics.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Decls(BTreeMap<String, Vec<(String, DeclForm)>>);
+
+impl Decls {
+    /// From each capitalised identifier, walks left over a
+    /// `std::sync::`-style path prefix, then over `&`/`mut` (the
+    /// identifier's own type) or container tokens (`Vec<`, `[`, `(`,
+    /// idents — a nested type) to a `name:` or `name =` binder.
+    fn scan(toks: &[Tok]) -> Decls {
+        let mut out: BTreeMap<String, Vec<(String, DeclForm)>> = BTreeMap::new();
+        for (i, t) in toks.iter().enumerate() {
+            if t.kind != TokKind::Ident || !t.text.starts_with(char::is_uppercase) {
+                continue;
             }
-            let tk = &toks[k];
-            if tk.kind == TokKind::Ident
-                || tk.is_punct('<')
-                || tk.is_punct('>')
-                || tk.is_punct('[')
-                || tk.is_punct('(')
-                || tk.is_punct('&')
+            let mut j = i;
+            while j >= 3
+                && toks[j - 1].is_punct(':')
+                && toks[j - 2].is_punct(':')
+                && toks[j - 3].kind == TokKind::Ident
+            {
+                j -= 3;
+            }
+            let (mut k, mut nested) = (j, false);
+            while k > 0 && j - k < MAX_DECL_WALK {
+                k -= 1;
+                let tk = &toks[k];
+                if tk.is_punct('&') || tk.is_ident("mut") {
+                    continue;
+                }
+                let container = tk.kind == TokKind::Ident
+                    || tk.is_punct('<')
+                    || tk.is_punct('>')
+                    || tk.is_punct('[')
+                    || tk.is_punct('(');
+                if !container {
+                    break;
+                }
+                nested = true;
+            }
+            let ascribed = toks[k].is_punct(':') && !(k >= 2 && toks[k - 2].is_punct(':'));
+            if k == 0 || toks[k - 1].kind != TokKind::Ident || !(ascribed || toks[k].is_punct('='))
             {
                 continue;
             }
-            break;
+            let constructed = toks.get(i + 1..i + 5).is_some_and(|w| {
+                w[0].is_punct(':')
+                    && w[1].is_punct(':')
+                    && matches!(w[2].text.as_str(), "new" | "default" | "with_capacity")
+                    && w[3].is_punct('(')
+            });
+            let form = match (nested, ascribed, constructed) {
+                (true, ..) => DeclForm::Nested,
+                (false, true, _) => DeclForm::Ascribed,
+                (false, false, true) => DeclForm::Constructed,
+                (false, false, false) => DeclForm::Assigned,
+            };
+            let decls = out.entry(toks[k - 1].text.clone()).or_default();
+            decls.push((t.text.clone(), form));
         }
-        if k == 0 {
-            continue;
-        }
-        // `name: Type` (not `::`) or `name = Type::...`.
-        let is_ascription = toks[k].is_punct(':') && !(k >= 2 && toks[k - 2].is_punct(':'));
-        let name = if (is_ascription || toks[k].is_punct('='))
-            && k >= 1
-            && toks[k - 1].kind == TokKind::Ident
-        {
-            Some(&toks[k - 1].text)
-        } else {
-            None
-        };
-        if let Some(name) = name {
-            out.entry(name.clone()).or_insert_with(|| t.text.clone());
-        }
+        Decls(out)
     }
-    out
+
+    fn types(&self, ident: &str) -> impl Iterator<Item = (&str, DeclForm)> {
+        self.0
+            .get(ident)
+            .into_iter()
+            .flatten()
+            .map(|(ty, form)| (ty.as_str(), *form))
+    }
+
+    /// The identifier's own type — for method receivers, R1 cell-like
+    /// captures and U1 newtypes: the one type its ascriptions and
+    /// constructor inits agree on; `None` when undeclared or ambiguous.
+    #[must_use]
+    pub fn declared_type(&self, ident: &str) -> Option<&str> {
+        let mut tys = self
+            .types(ident)
+            .filter(|(_, f)| matches!(f, DeclForm::Ascribed | DeclForm::Constructed))
+            .map(|(ty, _)| ty);
+        let first = tys.next()?;
+        tys.all(|t| t == first).then_some(first)
+    }
+
+    /// D1: any non-nested `HashMap`/`HashSet` declaration.
+    #[must_use]
+    pub fn is_hash(&self, ident: &str) -> bool {
+        self.types(ident)
+            .any(|(ty, f)| f != DeclForm::Nested && (ty == "HashMap" || ty == "HashSet"))
+    }
+
+    /// L2: the first `Mutex`/`RwLock`/`Atomic*` type the identifier is
+    /// declared with, nested or not.
+    #[must_use]
+    pub fn sync_type(&self, ident: &str) -> Option<&str> {
+        self.types(ident)
+            .map(|(ty, _)| ty)
+            .find(|t| *t == "Mutex" || *t == "RwLock" || t.starts_with("Atomic"))
+    }
 }
 
 /// Finds the index of the matching close for the open delimiter at
 /// `open` (which must hold `(`, `[`, or `{`); returns `toks.len()` when
 /// unbalanced.
-fn matching_close(toks: &[Tok], open: usize) -> usize {
+pub(crate) fn matching_close(toks: &[Tok], open: usize) -> usize {
     let mut depth = 0i32;
     for (j, t) in toks.iter().enumerate().skip(open) {
         if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') {
@@ -570,14 +553,11 @@ pub fn parse_file(path: &str, file: &TokenizedFile) -> (FileIndex, Vec<Finding>)
     findings.append(&mut waiver_errors);
 
     let toks = &file.toks;
-    let typed = typed_idents(toks);
-    let sync_typed = sync_typed_idents(toks);
     let mut index = FileIndex {
         fences,
         order_fences,
         waivers,
-        typed,
-        sync_typed,
+        decls: Decls::scan(toks),
         ..FileIndex::default()
     };
 
@@ -607,6 +587,10 @@ pub fn parse_file(path: &str, file: &TokenizedFile) -> (FileIndex, Vec<Finding>)
             Scope::Fn { idx } => Some(*idx),
             _ => None,
         })
+    };
+    // Sites inside a test module or the body of a test fn.
+    let in_test = |scopes: &[Scope], fns: &[FnItem]| {
+        in_test_scope(scopes) || current_fn(scopes).is_some_and(|idx| fns[idx].is_test)
     };
 
     let mut i = 0usize;
@@ -685,15 +669,19 @@ pub fn parse_file(path: &str, file: &TokenizedFile) -> (FileIndex, Vec<Finding>)
                 }
                 j += 1;
             }
-            let (has_self, params, binds) = if j < toks.len() {
+            let (has_self, params, binds, body) = if j < toks.len() {
                 let close = matching_close(toks, j).min(toks.len());
                 let args = &toks[j + 1..close.min(toks.len())];
                 let has_self = args.iter().any(|t| t.is_ident("self"));
                 let params = param_names(args);
                 // The body `{` follows the signature; a `;` instead
-                // means a trait method declaration (no body).
+                // means a trait method declaration (no body). Bracket
+                // groups (`-> [u64; 4]`) are skipped whole.
                 let mut b = close + 1;
                 while b < toks.len() && !toks[b].is_punct('{') && !toks[b].is_punct(';') {
+                    if toks[b].is_punct('(') || toks[b].is_punct('[') {
+                        b = matching_close(toks, b);
+                    }
                     b += 1;
                 }
                 let mut binds = Vec::new();
@@ -701,9 +689,9 @@ pub fn parse_file(path: &str, file: &TokenizedFile) -> (FileIndex, Vec<Finding>)
                     let end = matching_close(toks, b).min(toks.len());
                     collect_binds(toks, b + 1, end, true, &mut binds);
                 }
-                (has_self, params, binds)
+                (has_self, params, binds, b)
             } else {
-                (false, Vec::new(), Vec::new())
+                (false, Vec::new(), Vec::new(), i + 2)
             };
             let idx = index.fns.len();
             index.fns.push(FnItem {
@@ -721,7 +709,10 @@ pub fn parse_file(path: &str, file: &TokenizedFile) -> (FileIndex, Vec<Finding>)
             });
             pending = Some(Scope::Fn { idx });
             pending_test_attr = false;
-            i += 2;
+            // Resume at the body `{` (or the `;` of a bodiless
+            // declaration): signature tokens such as `impl Trait` or
+            // `[u8; 4]` must not re-open or cancel the fn scope.
+            i = body;
             continue;
         }
 
@@ -766,9 +757,7 @@ pub fn parse_file(path: &str, file: &TokenizedFile) -> (FileIndex, Vec<Finding>)
             index.seeds.push(SeedSite {
                 line: t.line,
                 literal_only,
-                in_test: pending_test_attr
-                    || in_test_scope(&scopes)
-                    || current_fn(&scopes).is_some_and(|idx| index.fns[idx].is_test),
+                in_test: pending_test_attr || in_test(&scopes, &index.fns),
             });
             // Fall through: the site is also recorded as a call below.
         }
@@ -806,9 +795,7 @@ pub fn parse_file(path: &str, file: &TokenizedFile) -> (FileIndex, Vec<Finding>)
             index.locks.push(LockSite {
                 line: toks[i + 1].line,
                 in_fence: in_fence(&index.fences, toks[i + 1].line),
-                in_test: pending_test_attr
-                    || in_test_scope(&scopes)
-                    || current_fn(&scopes).is_some_and(|idx| index.fns[idx].is_test),
+                in_test: pending_test_attr || in_test(&scopes, &index.fns),
                 live_guard: live.map(|(name, line, ..)| (name.clone(), *line)),
                 second_in_stmt: stmt_lock,
                 target: lock_target(toks, i),
@@ -824,11 +811,8 @@ pub fn parse_file(path: &str, file: &TokenizedFile) -> (FileIndex, Vec<Finding>)
             let mut site = scan_spawn(
                 t.line,
                 spawn_args,
-                &index.typed,
-                &index.sync_typed,
-                pending_test_attr
-                    || in_test_scope(&scopes)
-                    || current_fn(&scopes).is_some_and(|idx| index.fns[idx].is_test),
+                &index.decls,
+                pending_test_attr || in_test(&scopes, &index.fns),
             );
             site.drained = spawn_drained(toks, close, &scopes, &site);
             index.spawns.push(site);
@@ -908,63 +892,47 @@ fn scan_alloc(toks: &[Tok], i: usize, out: &mut Vec<AllocSite>) {
 /// Records a call site if the token at `i` starts one.
 fn scan_call(toks: &[Tok], i: usize, fences: &[(u32, u32)], out: &mut Vec<CallSite>) {
     let t = &toks[i];
-    // Method call `recv.name(`; allocation methods are recorded by
-    // `scan_alloc` instead.
-    if t.is_punct('.')
+    let (name, qual, recv, method) = if t.is_punct('.')
         && i + 2 < toks.len()
         && toks[i + 1].kind == TokKind::Ident
         && toks[i + 2].is_punct('(')
         && !ALLOC_METHODS.contains(&toks[i + 1].text.as_str())
     {
+        // Method call `recv.name(`; allocation methods are recorded by
+        // `scan_alloc` instead.
         let recv = (i > 0 && toks[i - 1].kind == TokKind::Ident).then(|| toks[i - 1].text.clone());
-        out.push(CallSite {
-            callee: toks[i + 1].text.clone(),
-            qual: None,
-            recv,
-            method: true,
-            line: toks[i + 1].line,
-            in_fence: in_fence(fences, toks[i + 1].line),
-        });
+        (&toks[i + 1], None, recv, true)
+    } else if t.kind != TokKind::Ident {
         return;
-    }
-    if t.kind != TokKind::Ident {
-        return;
-    }
-    // Path call `Qual::name(` — the pattern only matches at the last
-    // path segment, so `a::b::c(` resolves qualifier `b`.
-    if i + 4 < toks.len()
+    } else if i + 4 < toks.len()
         && toks[i + 1].is_punct(':')
         && toks[i + 2].is_punct(':')
         && toks[i + 3].kind == TokKind::Ident
         && toks[i + 4].is_punct('(')
     {
-        out.push(CallSite {
-            callee: toks[i + 3].text.clone(),
-            qual: Some(t.text.clone()),
-            recv: None,
-            method: false,
-            line: toks[i + 3].line,
-            in_fence: in_fence(fences, toks[i + 3].line),
-        });
-        return;
-    }
-    // Bare call `name(`.
-    if i + 1 < toks.len()
+        // Path call `Qual::name(` — the pattern only matches at the last
+        // path segment, so `a::b::c(` resolves qualifier `b`.
+        (&toks[i + 3], Some(t.text.clone()), None, false)
+    } else if i + 1 < toks.len()
         && toks[i + 1].is_punct('(')
         && !NON_CALL_KEYWORDS.contains(&t.text.as_str())
         && !(i >= 1 && (toks[i - 1].is_punct('.') || toks[i - 1].is_punct('!')))
         && !(i >= 2 && toks[i - 1].is_punct(':') && toks[i - 2].is_punct(':'))
         && !(i >= 1 && toks[i - 1].is_ident("fn"))
     {
-        out.push(CallSite {
-            callee: t.text.clone(),
-            qual: None,
-            recv: None,
-            method: false,
-            line: t.line,
-            in_fence: in_fence(fences, t.line),
-        });
-    }
+        // Bare call `name(`.
+        (t, None, None, false)
+    } else {
+        return;
+    };
+    out.push(CallSite {
+        callee: name.text.clone(),
+        qual,
+        recv,
+        method,
+        line: name.line,
+        in_fence: in_fence(fences, name.line),
+    });
 }
 
 /// Records a nondeterminism source if the token at `i` starts one (N1).
@@ -1365,7 +1333,7 @@ fn record_stmt(toks: &[Tok], mut lo: usize, hi: usize, is_tail: bool, out: &mut 
                     out.push(BindSite {
                         name,
                         line,
-                        expr: encode_expr(toks, k + 1, hi),
+                        expr: expr_span(toks, k + 1, hi),
                     });
                 }
                 return;
@@ -1379,7 +1347,7 @@ fn record_stmt(toks: &[Tok], mut lo: usize, hi: usize, is_tail: bool, out: &mut 
             out.push(BindSite {
                 name: RET_BIND.to_string(),
                 line: t.line,
-                expr: encode_expr(toks, lo + 1, hi),
+                expr: expr_span(toks, lo + 1, hi),
             });
         }
         return;
@@ -1413,22 +1381,20 @@ fn record_stmt(toks: &[Tok], mut lo: usize, hi: usize, is_tail: bool, out: &mut 
         out.push(BindSite {
             name: RET_BIND.to_string(),
             line: t.line,
-            expr: encode_expr(toks, lo, hi),
+            expr: expr_span(toks, lo, hi),
         });
         return;
     }
     // `name = expr;` assignments and `name <op>= expr;` compound
     // assignments (synthesized as `name <op> ( expr )`).
     if t.kind == TokKind::Ident && lo + 1 < hi {
-        let mut ops: Vec<&str> = Vec::new();
         let mut k = lo + 1;
         while k < hi
-            && ops.len() < 2
+            && k < lo + 3
             && toks[k].kind == TokKind::Punct
             && toks[k].text.len() == 1
             && COMPOUND_OPS.contains(&toks[k].text.chars().next().unwrap_or(' '))
         {
-            ops.push(toks[k].text.as_str());
             k += 1;
         }
         let is_assign = k < hi
@@ -1437,11 +1403,20 @@ fn record_stmt(toks: &[Tok], mut lo: usize, hi: usize, is_tail: bool, out: &mut 
                 .get(k + 1)
                 .is_some_and(|n| n.is_punct('=') || n.is_punct('>'));
         if is_assign && k + 1 < hi {
-            let rhs = encode_expr(toks, k + 1, hi);
-            let expr = if ops.is_empty() {
+            let rhs = expr_span(toks, k + 1, hi);
+            let expr = if k == lo + 1 {
                 rhs
             } else {
-                format!("{} {} ( {rhs} )", t.text, ops.join(" "))
+                let paren = |c: &str| Tok {
+                    kind: TokKind::Punct,
+                    text: c.to_string(),
+                    line: t.line,
+                };
+                let mut e = toks[lo..k].to_vec();
+                e.push(paren("("));
+                e.extend(rhs);
+                e.push(paren(")"));
+                e
             };
             out.push(BindSite {
                 name: t.text.clone(),
@@ -1452,24 +1427,13 @@ fn record_stmt(toks: &[Tok], mut lo: usize, hi: usize, is_tail: bool, out: &mut 
     }
 }
 
-/// Encodes an expression token span for [`BindSite::expr`]: texts
-/// space-joined, literals as `#`, oversized spans as the opaque `?`.
-fn encode_expr(toks: &[Tok], lo: usize, hi: usize) -> String {
-    if hi <= lo || hi - lo > MAX_EXPR_TOKS {
-        return "?".to_string();
+/// The expression token span `[lo, hi)` for [`BindSite::expr`];
+/// oversized spans are captured empty.
+fn expr_span(toks: &[Tok], lo: usize, hi: usize) -> Vec<Tok> {
+    if hi - lo > MAX_EXPR_TOKS {
+        return Vec::new();
     }
-    let mut out = String::new();
-    for t in &toks[lo..hi] {
-        if !out.is_empty() {
-            out.push(' ');
-        }
-        if t.kind == TokKind::Lit {
-            out.push('#');
-        } else {
-            out.push_str(&t.text);
-        }
-    }
-    out
+    toks[lo..hi].to_vec()
 }
 
 /// Whether the expression rooted at the ident at `j` stores into it: a
@@ -1573,13 +1537,7 @@ fn spawn_drained(toks: &[Tok], close: usize, scopes: &[Scope], site: &SpawnSite)
 }
 
 /// Analyzes one `spawn(..)` argument list for illegal captures.
-fn scan_spawn(
-    line: u32,
-    args: &[Tok],
-    typed: &BTreeMap<String, String>,
-    sync_typed: &BTreeMap<String, String>,
-    in_test: bool,
-) -> SpawnSite {
+fn scan_spawn(line: u32, args: &[Tok], decls: &Decls, in_test: bool) -> SpawnSite {
     let mut site = SpawnSite {
         line,
         in_test,
@@ -1637,12 +1595,12 @@ fn scan_spawn(
         }
         // Use of a RefCell/Cell/Rc-typed identifier from outside.
         if t.kind == TokKind::Ident && !bound.contains(&t.text.as_str()) {
-            if let Some(ty) = typed.get(&t.text) {
-                if CELL_TYPES.contains(&ty.as_str()) {
+            if let Some(ty) = decls.declared_type(&t.text) {
+                if CELL_TYPES.contains(&ty) {
                     site.captures.push(Capture {
                         ident: t.text.clone(),
                         line: t.line,
-                        kind: CaptureKind::CellLike(ty.clone()),
+                        kind: CaptureKind::CellLike(ty.to_string()),
                     });
                 }
             }
@@ -1650,14 +1608,14 @@ fn scan_spawn(
         // Sync-typed captures (L2): one record per ident, `stored` if
         // any use in the body writes through it.
         if t.kind == TokKind::Ident && !bound.contains(&t.text.as_str()) {
-            if let Some(ty) = sync_typed.get(&t.text) {
+            if let Some(ty) = decls.sync_type(&t.text) {
                 if let Some(cap) = site.sync.iter_mut().find(|c| c.ident == t.text) {
                     cap.stored = cap.stored || stores_into(body, j);
                 } else {
                     site.sync.push(SyncCapture {
                         ident: t.text.clone(),
                         line: t.line,
-                        ty: ty.clone(),
+                        ty: ty.to_string(),
                         stored: stores_into(body, j),
                     });
                 }
@@ -1711,6 +1669,11 @@ mod tests {
 
     fn parse(src: &str) -> FileIndex {
         parse_file("crates/x/src/a.rs", &tokenize(src)).0
+    }
+
+    fn words(expr: &[Tok]) -> String {
+        let texts: Vec<&str> = expr.iter().map(|t| t.text.as_str()).collect();
+        texts.join(" ")
     }
 
     #[test]
@@ -1782,7 +1745,30 @@ fn hot(ws: &mut Workspace) {
         assert!(calls[2].in_fence);
         assert_eq!(calls[3].callee, "cold");
         assert!(!calls[3].in_fence);
-        assert_eq!(idx.typed.get("ws").map(String::as_str), Some("Workspace"));
+        assert_eq!(idx.decls.declared_type("ws"), Some("Workspace"));
+    }
+
+    #[test]
+    fn signature_tokens_do_not_reopen_or_cancel_the_fn_scope() {
+        let src = "\
+fn a(f: impl Fn(u64) -> u64) -> impl Iterator<Item = u64> { helper(f(1)); Vec::new().into_iter() }
+fn b(xs: [u64; 2]) -> [u64; 2] { helper(xs[0]); xs }
+trait T { fn c(&self) -> [u8; 4]; }
+";
+        let idx = parse(src);
+        let facts: Vec<(&str, usize, usize, usize)> = idx
+            .fns
+            .iter()
+            .map(|f| {
+                (
+                    f.name.as_str(),
+                    f.calls.len(),
+                    f.allocs.len(),
+                    f.binds.len(),
+                )
+            })
+            .collect();
+        assert_eq!(facts, vec![("a", 4, 1, 1), ("b", 1, 0, 1), ("c", 0, 0, 0)]);
     }
 
     #[test]
@@ -2102,18 +2088,18 @@ fn mix(block: u64, banks: u64) -> u64 {
 ";
         let idx = parse(src);
         assert_eq!(idx.fns[0].params, vec!["block", "banks"]);
-        let binds: Vec<(&str, u32, &str)> = idx.fns[0]
+        let binds: Vec<(&str, u32, String)> = idx.fns[0]
             .binds
             .iter()
-            .map(|b| (b.name.as_str(), b.line, b.expr.as_str()))
+            .map(|b| (b.name.as_str(), b.line, words(&b.expr)))
             .collect();
         assert_eq!(
             binds,
             vec![
-                ("g", 2, "block ^ ( block > > 5 )"),
-                ("g", 3, "g ^ ( block > > 9 )"),
-                ("=ret", 5, "g & 0xFF"),
-                ("=ret", 7, "g % banks"),
+                ("g", 2, "block ^ ( block > > 5 )".to_string()),
+                ("g", 3, "g ^ ( block > > 9 )".to_string()),
+                ("=ret", 5, "g & 0xFF".to_string()),
+                ("=ret", 7, "g % banks".to_string()),
             ]
         );
     }
@@ -2130,12 +2116,18 @@ fn pick(x: u64, fallback: u64) -> u64 {
 }
 ";
         let idx = parse(src);
-        let binds: Vec<(&str, &str)> = idx.fns[0]
+        let binds: Vec<(&str, String)> = idx.fns[0]
             .binds
             .iter()
-            .map(|b| (b.name.as_str(), b.expr.as_str()))
+            .map(|b| (b.name.as_str(), words(&b.expr)))
             .collect();
-        assert_eq!(binds, vec![("=ret", "x > > 2"), ("=ret", "fallback")]);
+        assert_eq!(
+            binds,
+            vec![
+                ("=ret", "x > > 2".to_string()),
+                ("=ret", "fallback".to_string())
+            ]
+        );
     }
 
     #[test]

@@ -1,24 +1,18 @@
-//! The single-file rules: D1 hash-iter, D2 wall-clock, D3 f32, D4
-//! seed-discipline, H1 hot-path allocations, and R1 thread-capture,
-//! evaluated over one tokenized + parsed file. (H2 `hot-path-reach`
-//! needs the whole workspace and lives in [`crate::callgraph`].)
+//! The single-file rules, evaluated over one tokenized + parsed file:
+//! D1 hash-iter, D2 wall-clock, D3 f32, D4 seed-discipline, H1
+//! hot-path allocations, R1 thread-capture, L1/L2 lock and spawn
+//! discipline, and U1 units. Rules read the parser's [`FileIndex`]
+//! rather than re-walking the tokens wherever it has the fact: H1 is
+//! the fn allocation sites inside fences, D1's *hash-typed* identifiers
+//! come from [`parse::Decls::is_hash`].
 //!
-//! The analysis is type-free by design (no rustc, no syn — the build
-//! environment is offline), so D1 uses a local declaration heuristic:
-//! an identifier counts as *hash-typed* when the file declares it with a
-//! `HashMap`/`HashSet` type ascription (`x: HashMap<..>`, struct fields,
-//! fn params) or initialises it from one (`let x = HashMap::new()`,
-//! including `std::collections::` paths). Iterating such an identifier
-//! (`for .. in &x`, `x.iter()`, `.keys()`, `.values()`, `.drain()`, ...)
-//! fires D1 unless the result demonstrably feeds a sort: either within
-//! the same statement, or a sort on the `let` binding the statement
-//! produces within the next few statements (boundaries come from the
-//! token stream, not line distance). Identifiers that acquire hash
-//! types across files or through closures are out of reach — the rule
-//! is a tripwire for the overwhelmingly common local patterns, not a
-//! proof; DESIGN.md §10 spells out the limits.
-
-use std::collections::BTreeSet;
+//! D1 fires on iteration over a hash-typed identifier (`for .. in &x`,
+//! `x.iter()`, `.keys()`, `.values()`, `.drain()`, ...) unless the result
+//! demonstrably feeds a sort: within the same statement, or a sort on
+//! the `let` binding the statement produces within the next few
+//! statements (boundaries come from the token stream, not line
+//! distance). Like every rule it is a tripwire for the common local
+//! patterns, not a proof; DESIGN.md §10 spells out the limits.
 
 use crate::findings::{Finding, Rule};
 use crate::parse::{self, CaptureKind, FileIndex, NondetKind};
@@ -70,7 +64,7 @@ pub fn analyze(path_rel: &str, src: &str) -> Analysis {
     let file = tokenize(src);
     let (mut index, mut findings) = parse::parse_file(path_rel, &file);
 
-    let hash_sites = check_hash_iter(path_rel, &file, &mut findings);
+    let hash_sites = check_hash_iter(path_rel, &file.toks, &index, &mut findings);
     // Surviving (unsorted, not inline-waived) hash iterations are also
     // N1 taint seeds: an order-dependent traversal whose results reach
     // a summary sink breaks bit-identity even where D1 was accepted.
@@ -85,7 +79,7 @@ pub fn analyze(path_rel: &str, src: &str) -> Analysis {
     }
     check_wall_clock(path_rel, &file, &mut findings);
     check_f32(path_rel, &file, &mut findings);
-    check_hot_path(path_rel, &file, &index.fences, &mut findings);
+    check_hot_path(path_rel, &index, &mut findings);
     check_seeds(path_rel, &index, &mut findings);
     check_spawns(path_rel, &index, &mut findings);
     check_locks(path_rel, &index, &mut findings);
@@ -103,47 +97,6 @@ pub fn analyze(path_rel: &str, src: &str) -> Analysis {
 #[must_use]
 pub fn lint_source(path_rel: &str, src: &str) -> Vec<Finding> {
     analyze(path_rel, src).findings
-}
-
-/// Identifiers declared with a `HashMap`/`HashSet` type in this file.
-fn hash_typed_idents(toks: &[Tok]) -> BTreeSet<String> {
-    let mut out = BTreeSet::new();
-    for i in 0..toks.len() {
-        if !(toks[i].is_ident("HashMap") || toks[i].is_ident("HashSet")) {
-            continue;
-        }
-        // Walk left over a `std::collections::`-style path prefix.
-        let mut j = i;
-        while j >= 3
-            && toks[j - 1].is_punct(':')
-            && toks[j - 2].is_punct(':')
-            && toks[j - 3].kind == TokKind::Ident
-        {
-            j -= 3;
-        }
-        if j == 0 {
-            continue;
-        }
-        // `name: HashMap<..>` (let, fn param, struct field) — possibly
-        // through `&`/`mut`.
-        let mut k = j - 1;
-        while k > 0 && (toks[k].is_punct('&') || toks[k].is_ident("mut")) {
-            k -= 1;
-        }
-        if toks[k].is_punct(':')
-            && k >= 1
-            && toks[k - 1].kind == TokKind::Ident
-            && !(k >= 2 && toks[k - 2].is_punct(':'))
-        {
-            out.insert(toks[k - 1].text.clone());
-            continue;
-        }
-        // `name = HashMap::new()` / `= std::collections::HashSet::new()`.
-        if toks[k].is_punct('=') && k >= 1 && toks[k - 1].kind == TokKind::Ident {
-            out.insert(toks[k - 1].text.clone());
-        }
-    }
-    out
 }
 
 /// Finds the end of the statement containing the token at `si`: the
@@ -245,26 +198,22 @@ fn feeds_a_sort(toks: &[Tok], si: usize) -> bool {
 /// hash-order taint seeds.
 fn check_hash_iter(
     path: &str,
-    file: &TokenizedFile,
+    toks: &[Tok],
+    index: &FileIndex,
     findings: &mut Vec<Finding>,
 ) -> Vec<(u32, String)> {
-    let hashed = hash_typed_idents(&file.toks);
-    if hashed.is_empty() {
-        return Vec::new();
-    }
-    let toks = &file.toks;
+    let hashed = |t: &Tok| t.kind == TokKind::Ident && index.decls.is_hash(&t.text);
     // (line, message, escapable site token index). `for`-loop sites get
     // no escape: a bare loop cannot feed its elements into a sort.
     let mut sites: Vec<(u32, String, Option<usize>)> = Vec::new();
 
     // Method-call sites: `x.iter()`, `x.keys()`, ...
     for i in 0..toks.len().saturating_sub(3) {
-        if toks[i].kind == TokKind::Ident
-            && hashed.contains(&toks[i].text)
-            && toks[i + 1].is_punct('.')
+        if toks[i + 1].is_punct('.')
             && toks[i + 2].kind == TokKind::Ident
             && HASH_ITER_METHODS.contains(&toks[i + 2].text.as_str())
             && toks[i + 3].is_punct('(')
+            && hashed(&toks[i])
         {
             sites.push((
                 toks[i + 2].line,
@@ -319,10 +268,7 @@ fn check_hash_iter(
             }
             k += 1;
         }
-        if let Some(t) = toks[j + 1..k]
-            .iter()
-            .find(|t| t.kind == TokKind::Ident && hashed.contains(&t.text))
-        {
+        if let Some(t) = toks[j + 1..k].iter().find(|t| hashed(t)) {
             sites.push((
                 toks[i].line,
                 format!("`for` loop iterates hash collection `{}`", t.text),
@@ -409,62 +355,22 @@ fn check_f32(path: &str, file: &TokenizedFile, findings: &mut Vec<Finding>) {
     }
 }
 
-/// H1: allocation calls textually inside `// lint:hot-path` fences.
+/// H1: the parser's allocation sites inside `// lint:hot-path` fences.
 /// (Fence bookkeeping errors are reported by the parser; transitive
 /// allocations through calls are H2's job in [`crate::callgraph`].)
-fn check_hot_path(
-    path: &str,
-    file: &TokenizedFile,
-    regions: &[(u32, u32)],
-    findings: &mut Vec<Finding>,
-) {
-    if regions.is_empty() {
-        return;
-    }
-    let toks = &file.toks;
-    let mut flag = |line: u32, what: String| {
-        findings.push(Finding::new(
-            Rule::HotPathAlloc,
-            path,
-            line,
-            format!("{what} allocates inside a `lint:hot-path` fence"),
-        ));
-    };
-    for i in 0..toks.len() {
-        if !parse::in_fence(regions, toks[i].line) {
-            continue;
-        }
-        let t = &toks[i];
-        // `.clone()`, `.collect()`, ...
-        if t.is_punct('.')
-            && i + 2 < toks.len()
-            && toks[i + 1].kind == TokKind::Ident
-            && parse::ALLOC_METHODS.contains(&toks[i + 1].text.as_str())
-            && toks[i + 2].is_punct('(')
+fn check_hot_path(path: &str, index: &FileIndex, findings: &mut Vec<Finding>) {
+    for f in &index.fns {
+        for a in f
+            .allocs
+            .iter()
+            .filter(|a| parse::in_fence(&index.fences, a.line))
         {
-            flag(toks[i + 1].line, format!("`.{}()`", toks[i + 1].text));
-        }
-        // `Vec::new(`, `String::new(`, `Box::new(`.
-        if t.kind == TokKind::Ident
-            && parse::ALLOC_TYPES.contains(&t.text.as_str())
-            && i + 3 < toks.len()
-            && toks[i + 1].is_punct(':')
-            && toks[i + 2].is_punct(':')
-            && toks[i + 3].is_ident("new")
-        {
-            flag(t.line, format!("`{}::new()`", t.text));
-        }
-        // `format!(`, `vec![`.
-        if t.kind == TokKind::Ident
-            && parse::ALLOC_MACROS.contains(&t.text.as_str())
-            && i + 1 < toks.len()
-            && toks[i + 1].is_punct('!')
-        {
-            flag(t.line, format!("`{}!`", t.text));
-        }
-        // `with_capacity(` through any path.
-        if t.kind == TokKind::Ident && parse::ALLOC_BARE.contains(&t.text.as_str()) {
-            flag(t.line, format!("`{}`", t.text));
+            findings.push(Finding::new(
+                Rule::HotPathAlloc,
+                path,
+                a.line,
+                format!("{} allocates inside a `lint:hot-path` fence", a.what),
+            ));
         }
     }
 }

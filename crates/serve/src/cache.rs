@@ -13,8 +13,7 @@
 //! * a change to the cached shape itself bumps
 //!   [`RESULT_CACHE_SCHEMA`], which invalidates everything.
 //!
-//! The discipline is the one the lint incremental cache proved
-//! (DESIGN.md §11): **versioned, degrade-to-empty, byte-identical hot
+//! The discipline is **versioned, degrade-to-empty, byte-identical hot
 //! or cold**. Every load failure — missing file, unparsable JSON,
 //! schema drift, key mismatch — is a miss, never an error; a corrupted
 //! entry is recomputed and overwritten. Disk writes go through a

@@ -10,8 +10,7 @@
 //!   (`target/result-cache/`): key = FNV-1a over the canonical scenario
 //!   JSON, the experiment id, and a per-experiment code-version salt.
 //!   Versioned, degrade-to-empty on any load failure, byte-identical
-//!   summaries hot or cold — the same discipline the lint incremental
-//!   cache proved (DESIGN.md §11).
+//!   summaries hot or cold.
 //! * [`pool`] — a **multi-process worker pool**: child processes of the
 //!   same binary claim scenario chunks over a length-prefixed JSON
 //!   stdin/stdout protocol ([`frame`]). Workers that die, emit

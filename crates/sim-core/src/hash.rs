@@ -1,17 +1,16 @@
 //! The workspace's one content-hash primitive: FNV-1a over bytes.
 //!
-//! Three subsystems key durable state off content hashes — the lint
-//! incremental cache (`target/lint-cache.json`), the batch executor's
-//! name-derived scenario seeds, and the experiment result cache
-//! (`target/result-cache/`). They must all agree on the algorithm and
-//! its constants, so the fold lives here once instead of three inlined
-//! copies drifting apart.
+//! Two subsystems key durable state off content hashes — the batch
+//! executor's name-derived scenario seeds and the experiment result
+//! cache (`target/result-cache/`). They must agree on the algorithm and
+//! its constants, so the fold lives here once instead of inlined copies
+//! drifting apart.
 //!
-//! FNV-1a (64-bit) is the right tool for all three: stable across
-//! platforms and runs, fast enough to hash every source file and every
-//! scenario spec on every invocation, and dependency-free. It is **not**
-//! collision-resistant against adversaries — these are caches keyed by
-//! trusted local content, not security boundaries.
+//! FNV-1a (64-bit) is the right tool for both: stable across platforms
+//! and runs, fast enough to hash every scenario spec on every
+//! invocation, and dependency-free. It is **not** collision-resistant
+//! against adversaries — both key trusted local content, not security
+//! boundaries.
 
 /// FNV-1a 64-bit offset basis.
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
