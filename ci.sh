@@ -137,7 +137,10 @@ step "perf smoke (suite)" cargo bench --offline --bench suite -- \
 # The batch runs twice through the result cache (DESIGN.md §12): the
 # cold run executes and stores every scenario, the warm run must replay
 # all of them without re-executing anything ("misses": 0) and reproduce
-# run_summary.json byte-for-byte.
+# run_summary.json byte-for-byte. Entries are keyed by the running
+# binary's file metadata, so a copy of the binary (another inode) is a
+# different build: against the same warm cache it must hit nothing and
+# still reproduce the cold summary.
 step "ehp all (cold cache)" sh -c '
     rm -rf target/result-cache &&
     ./target/release/ehp all --jobs 8 --quiet &&
@@ -147,6 +150,12 @@ step "warm summary byte-identical" \
     cmp target/run_summary.cold.json target/figures/run_summary.json
 step "warm run re-executed nothing" \
     grep -q '"misses": 0' target/figures/cache_stats.json
+step "a different binary re-executes everything" sh -c '
+    cp target/release/ehp target/ehp-copy &&
+    ./target/ehp-copy all --jobs 8 --quiet &&
+    grep -q "\"hits\": 0" target/figures/cache_stats.json &&
+    cmp target/run_summary.cold.json target/figures/run_summary.json;
+    status=$?; rm -f target/ehp-copy; exit $status'
 step "ehp check" ./target/release/ehp check
 
 echo

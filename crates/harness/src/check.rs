@@ -79,6 +79,27 @@ pub fn expected_shapes() -> &'static [ShapeRange] {
                   tolerance_c (1e-4 C); a solve capped at max_iters fails",
         },
         ShapeRange {
+            experiment: "ehpv3_audit",
+            metric: "ehpv3_exceeds_cooling",
+            min: 1.0,
+            max: 1.0,
+            why: "Section III.A: EHPv3 heat would have exceeded contemporary cooling",
+        },
+        ShapeRange {
+            experiment: "ehpv3_audit",
+            metric: "mi300a_coolable",
+            min: 1.0,
+            max: 1.0,
+            why: "Section III.A: MI300A keeps logic on top and stays coolable",
+        },
+        ShapeRange {
+            experiment: "ehpv3_audit",
+            metric: "complexity_ordering_holds",
+            min: 1.0,
+            max: 1.0,
+            why: "Section III.A: assembly complexity V-Cache < MI300A < EHPv3",
+        },
+        ShapeRange {
             experiment: "figure13",
             metric: "sync_overhead_cycles",
             min: 1.0,
@@ -93,11 +114,32 @@ pub fn expected_shapes() -> &'static [ShapeRange] {
             why: "Figure 14: unified memory beats copy-in/copy-out",
         },
         ShapeRange {
+            experiment: "figure15",
+            metric: "overlap_saving_ms",
+            min: 1.0,
+            max: 10.0,
+            why: "Figure 15: per-chunk flags let CPU post-processing overlap GPU work",
+        },
+        ShapeRange {
             experiment: "figure16",
             metric: "all_iod_variants_accept",
             min: 1.0,
             max: 1.0,
             why: "Figure 16: every IOD variant hosts the unmirrored chiplet",
+        },
+        ShapeRange {
+            experiment: "figure17",
+            metric: "partition_modes",
+            min: 10.0,
+            max: 10.0,
+            why: "Figure 17: MI300A SPX/TPX on NPS1; MI300X 1/2/4/8 on NPS1 or NPS4",
+        },
+        ShapeRange {
+            experiment: "figure17",
+            metric: "max_sriov_vfs",
+            min: 8.0,
+            max: 8.0,
+            why: "Figure 17: one SR-IOV VF per partition, 8 on an 8-way MI300X",
         },
         ShapeRange {
             experiment: "figure19",
@@ -205,6 +247,13 @@ pub fn expected_shapes() -> &'static [ShapeRange] {
                   node's four fully connected GPUs",
         },
         ShapeRange {
+            experiment: "modular_platform",
+            metric: "design_space_variants",
+            min: 5.0,
+            max: 5.0,
+            why: "Section VII: the same IODs host five compute-stack assignments",
+        },
+        ShapeRange {
             experiment: "power_management",
             metric: "tight_limit_thermally_safe",
             min: 1.0,
@@ -235,6 +284,34 @@ pub fn expected_shapes() -> &'static [ShapeRange] {
             min: 2.0,
             max: 2.0,
             why: "Section IV.B: CDNA 3 doubles the L1 data path",
+        },
+        ShapeRange {
+            experiment: "packaging_audit",
+            metric: "all_variants_accept_with_redundancy",
+            min: 1.0,
+            max: 1.0,
+            why: "Figure 9: redundant TSVs land the chiplets on all four IOD variants",
+        },
+        ShapeRange {
+            experiment: "packaging_audit",
+            metric: "txrx_swap_fixes_pairing",
+            min: 1.0,
+            max: 1.0,
+            why: "Figure 9: a mirrored IOD needs its USR TX/RX modules swapped",
+        },
+        ShapeRange {
+            experiment: "packaging_audit",
+            metric: "pg_grid_current_density",
+            min: 1.5,
+            max: 3.0,
+            why: "Section V.D, Figure 10: the P/G TSV grid delivers >1.5 A/mm^2",
+        },
+        ShapeRange {
+            experiment: "packaging_audit",
+            metric: "partitioning_necessary_and_sufficient",
+            min: 1.0,
+            max: 1.0,
+            why: "Section V.A: one reticle lacks the beachfront; four IODs suffice",
         },
         ShapeRange {
             experiment: "ic_sweep",
@@ -323,11 +400,11 @@ pub fn expected_shapes() -> &'static [ShapeRange] {
         },
         ShapeRange {
             experiment: "serve_audit",
-            metric: "salt_bump_hit_rate",
+            metric: "rebuild_hit_rate",
             min: 0.0,
             max: 0.0,
-            why: "DESIGN.md §12: bumping an experiment's code-version salt \
-                  must invalidate every one of its cached entries",
+            why: "DESIGN.md §12: keys from another build must miss every \
+                  cached entry (a rebuilt binary re-executes everything)",
         },
         ShapeRange {
             experiment: "serve_audit",

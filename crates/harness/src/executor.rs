@@ -212,7 +212,7 @@ pub fn run_one(scenario: &Scenario) -> Outcome {
     };
     // Experiments take &Scenario and build fresh state; unwind safety
     // holds because a panicking run's partial state is discarded whole.
-    let run = catch_unwind(AssertUnwindSafe(|| exp.run(scenario)));
+    let run = catch_unwind(AssertUnwindSafe(|| (exp.run)(scenario)));
     let wall = start.elapsed();
     match run {
         Ok(result) => ok_outcome(scenario, result, wall),
@@ -240,7 +240,7 @@ pub fn run_one_uncaught(scenario: &Scenario) -> Outcome {
     let Some(exp) = registry::find(&scenario.experiment) else {
         return unknown_outcome(scenario, start.elapsed());
     };
-    let result = exp.run(scenario);
+    let result = (exp.run)(scenario);
     ok_outcome(scenario, result, start.elapsed())
 }
 

@@ -9,10 +9,9 @@
 //! 2. **repeat** — the identical sweep again: the hit rate must be
 //!    exactly 1.0 (this is the property that lets a warm `ehp all`
 //!    re-execute nothing);
-//! 3. **salt bump** — the same sweep keyed with a bumped code-version
-//!    salt: the hit rate must be exactly 0.0 (a behavioural change
-//!    invalidates all of — and only — the touched experiment's
-//!    entries).
+//! 3. **rebuild** — the same sweep keyed under another build id: the
+//!    hit rate must be exactly 0.0 (a rebuilt binary never reads the
+//!    entries an older build wrote).
 //!
 //! A fourth check round-trips each cached outcome through its rendered
 //! JSON and compares compact bytes, mirroring the hot-vs-cold
@@ -28,6 +27,11 @@ use crate::scenario::Scenario;
 
 /// The experiment id the synthetic entries are keyed under.
 const PROBE_ID: &str = "serve_audit_probe";
+
+/// The build id legs 1 and 2 key under; leg 3 keys under `BUILD + 1`.
+/// A constant, never the process's fingerprint, so the audit's numbers
+/// do not depend on the binary.
+const BUILD: u64 = 1;
 
 fn probe_scenario(i: u64, seed: u64) -> String {
     // Compact, key-sorted — the same canonical form the serving layer
@@ -59,7 +63,7 @@ pub(crate) fn run(sc: &Scenario) -> ExperimentResult {
     // Leg 1: cold — misses only, then store.
     let mut stored = Vec::new();
     for (i, c) in canon.iter().enumerate() {
-        let key = result_key(PROBE_ID, 0, c);
+        let key = result_key(BUILD, PROBE_ID, c);
         assert!(cache.lookup(key).is_none(), "cold leg must miss");
         let outcome = probe_outcome(i as u64, &mut rng);
         cache.store(key, &outcome);
@@ -69,10 +73,11 @@ pub(crate) fn run(sc: &Scenario) -> ExperimentResult {
 
     // Leg 2: repeat — the identical sweep must hit every time, and the
     // cached bytes must round-trip identically.
-    let mut identical = 0u64;
+    let (mut repeat_hits, mut identical) = (0u64, 0u64);
     for (i, c) in canon.iter().enumerate() {
-        let key = result_key(PROBE_ID, 0, c);
+        let key = result_key(BUILD, PROBE_ID, c);
         if let Some(outcome) = cache.lookup(key) {
+            repeat_hits += 1;
             let rendered = outcome.to_string_compact();
             let reparsed = Json::parse(&rendered).expect("cache entry re-parses");
             if rendered == stored[i].to_string_compact() && reparsed.to_string_compact() == rendered
@@ -81,18 +86,16 @@ pub(crate) fn run(sc: &Scenario) -> ExperimentResult {
             }
         }
     }
-    let repeat = cache.counters().since(&cold);
 
-    // Leg 3: salt bump — every key moves, every lookup must miss.
-    let before_bump = cache.counters();
-    for c in &canon {
-        let _ = cache.lookup(result_key(PROBE_ID, 1, c));
-    }
-    let bumped = cache.counters().since(&before_bump);
+    // Leg 3: keys from another build — every lookup must miss.
+    let rebuilt_hits = canon
+        .iter()
+        .filter(|c| cache.lookup(result_key(BUILD + 1, PROBE_ID, c)).is_some())
+        .count();
 
     let n = entries as f64;
-    let repeat_hit_rate = repeat.hits as f64 / n;
-    let salt_bump_hit_rate = bumped.hits as f64 / n;
+    let repeat_hit_rate = repeat_hits as f64 / n;
+    let rebuild_hit_rate = rebuilt_hits as f64 / n;
     let summary_identical = identical as f64 / n;
 
     let mut rep = Report::new(&sc.name);
@@ -100,13 +103,13 @@ pub(crate) fn run(sc: &Scenario) -> ExperimentResult {
     rep.kv("entries", entries);
     rep.kv("cold misses", cold.misses);
     rep.kv("repeat hit rate", repeat_hit_rate);
-    rep.kv("salt-bump hit rate", salt_bump_hit_rate);
+    rep.kv("rebuild hit rate", rebuild_hit_rate);
     rep.kv("byte-identical round trips", identical);
 
     let mut res = ExperimentResult::new(rep);
     res.metric("entries", n);
     res.metric("repeat_hit_rate", repeat_hit_rate);
-    res.metric("salt_bump_hit_rate", salt_bump_hit_rate);
+    res.metric("rebuild_hit_rate", rebuild_hit_rate);
     res.metric("summary_identical", summary_identical);
     res
 }
@@ -121,7 +124,7 @@ mod tests {
         sc.seed = Some(3);
         let r = run(&sc);
         assert_eq!(r.metrics["repeat_hit_rate"], 1.0);
-        assert_eq!(r.metrics["salt_bump_hit_rate"], 0.0);
+        assert_eq!(r.metrics["rebuild_hit_rate"], 0.0);
         assert_eq!(r.metrics["summary_identical"], 1.0);
         assert_eq!(r.metrics["entries"], 16.0);
     }

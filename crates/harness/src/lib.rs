@@ -5,18 +5,19 @@
 //! and "files on disk":
 //!
 //! * [`registry`] — every experiment (Table 1, Figures 7–21, the audits,
-//!   the Infinity-Cache sweep) behind one [`experiment::Experiment`]
-//!   trait, addressable by stable id.
+//!   the Infinity-Cache sweep) as an [`experiment::Experiment`] entry,
+//!   addressable by stable id.
 //! * [`scenario`] — declarative inputs: product-config overrides and
 //!   parameter sweeps as JSON spec files that expand into concrete
 //!   scenarios.
 //! * [`executor`] — the `--jobs N` batch runner: per-scenario panic
 //!   isolation, deterministic name-derived seeds, and a batch summary
 //!   whose bytes are identical across same-seed runs.
-//! * [`serving`] — the scale-out layer (DESIGN.md §12): a content-hash
-//!   result cache under `ehp run`/`ehp all`, the `ehp worker`
-//!   child-process protocol, and the `ehp serve` Unix-socket daemon,
-//!   all built on the experiment-agnostic `ehp-serve` crate.
+//! * [`serving`] — the scale-out layer (DESIGN.md §12): a result cache
+//!   keyed by build and scenario under `ehp run`/`ehp all`, the
+//!   `ehp worker` child-process protocol, and the `ehp serve`
+//!   Unix-socket daemon, all built on the experiment-agnostic
+//!   `ehp-serve` crate.
 //! * [`check`] — committed expected-shape ranges (`ehp check`): the
 //!   paper's headline numbers as a regression gate.
 //! * [`report`] / [`output`] — the text/JSON result writers; everything

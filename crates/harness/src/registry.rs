@@ -4,7 +4,7 @@
 
 use ehp_lint::{ExperimentSchema, ParamKind, ParamSpec};
 
-use crate::experiment::{Experiment, FnExperiment};
+use crate::experiment::Experiment;
 use crate::experiments;
 
 /// Shorthand for an unbounded positive integer parameter.
@@ -29,152 +29,125 @@ const fn num_from(name: &'static str, min: f64) -> ParamSpec {
 }
 
 /// Every registered experiment, in paper order.
-static REGISTRY: &[FnExperiment] = &[
-    FnExperiment {
+static REGISTRY: &[Experiment] = &[
+    Experiment {
         id: "table1",
         title: "Table 1: CDNA 2 vs CDNA 3 peak ops/clock/CU",
         params: &[],
-        salt: 0,
-        runner: experiments::table1::run,
+        run: experiments::table1::run,
     },
-    FnExperiment {
+    Experiment {
         id: "figure7",
         title: "Figure 7: MI300A IOD interface bandwidths",
         params: &[ParamSpec {
             name: "product",
             kind: ParamKind::EnumStr(&["mi250x", "mi300a", "mi300x", "ehpv4"]),
         }],
-        // Salt 1: the timed transfers start from the product's own XCD
-        // and CCD (EHPv4 no longer panics; GPU-only products drop the
-        // CCD row).
-        salt: 1,
-        runner: experiments::figure7::run,
+        run: experiments::figure7::run,
     },
-    FnExperiment {
+    Experiment {
         id: "figure12",
         title: "Figure 12: power distributions and thermal maps",
         params: &[num_from("socket_power_w", 1.0)],
-        // Salt 2: the red-black SOR thermal solver (DESIGN.md §17)
-        // moves every temperature and adds `thermal_error_bound_c`
-        // (salt 1 added `gpu_minus_memory_max_c`).
-        salt: 2,
-        runner: experiments::figure12::run,
+        run: experiments::figure12::run,
     },
-    FnExperiment {
+    Experiment {
         id: "figure13",
         title: "Figure 13: cooperative multi-XCD dispatch flow",
         params: &[u64_pos("workgroups"), u64_pos("workgroup_size")],
-        salt: 0,
-        runner: experiments::figure13::run,
+        run: experiments::figure13::run,
     },
-    FnExperiment {
+    Experiment {
         id: "figure14",
         title: "Figure 14: CPU-only vs discrete GPU vs APU data movement",
         params: &[u64_pos("elements")],
-        salt: 0,
-        runner: experiments::figure14::run,
+        run: experiments::figure14::run,
     },
-    FnExperiment {
+    Experiment {
         id: "figure15",
         title: "Figure 15: fine-grained CPU/GPU overlap via chunk flags",
         params: &[u64_pos("elements"), u64_pos("chunks")],
-        salt: 0,
-        runner: experiments::figure15::run,
+        run: experiments::figure15::run,
     },
-    FnExperiment {
+    Experiment {
         id: "figure16",
         title: "Figure 16: CCD->XCD modular swap (MI300A -> MI300X)",
         params: &[],
-        salt: 0,
-        runner: experiments::figure16::run,
+        run: experiments::figure16::run,
     },
-    FnExperiment {
+    Experiment {
         id: "figure17",
         title: "Figure 17: compute/memory partitioning modes",
         params: &[],
-        salt: 0,
-        runner: experiments::figure17::run,
+        run: experiments::figure17::run,
     },
-    FnExperiment {
+    Experiment {
         id: "figure18",
         title: "Figure 18: exemplary MI300A/MI300X node architectures",
         params: &[],
-        salt: 0,
-        runner: experiments::figure18::run,
+        run: experiments::figure18::run,
     },
-    FnExperiment {
+    Experiment {
         id: "figure19",
         title: "Figure 19: generational uplift over MI250X",
         params: &[],
-        salt: 0,
-        runner: experiments::figure19::run,
+        run: experiments::figure19::run,
     },
-    FnExperiment {
+    Experiment {
         id: "figure20",
         title: "Figure 20: HPC speedups of MI300A over MI250X",
         params: &[],
-        salt: 0,
-        runner: experiments::figure20::run,
+        run: experiments::figure20::run,
     },
-    FnExperiment {
+    Experiment {
         id: "figure21",
         title: "Figure 21: Llama-2 70B inference latency on MI300X",
         params: &[],
-        salt: 0,
-        runner: experiments::figure21::run,
+        run: experiments::figure21::run,
     },
-    FnExperiment {
+    Experiment {
         id: "frontier_node",
         title: "Figure 2: the Frontier node as four conjoined EHPs",
         params: &[],
-        salt: 0,
-        runner: experiments::frontier_node::run,
+        run: experiments::frontier_node::run,
     },
-    FnExperiment {
+    Experiment {
         id: "modular_platform",
         title: "Section VII: modular platform design space + exascale RAS",
         params: &[num_from("checkpoint_write_s", 1.0)],
-        salt: 0,
-        runner: experiments::modular_platform::run,
+        run: experiments::modular_platform::run,
     },
-    FnExperiment {
+    Experiment {
         id: "power_management",
         title: "Section V.D/V.E: power/thermal/DVFS management loop",
         params: &[num_from("socket_power_w", 1.0), num_from("shift_w", 0.0)],
-        // Salt 1: the red-black SOR thermal solver (DESIGN.md §17)
-        // moves the DVFS loop's peaks and adds `thermal_error_bound_c`.
-        salt: 1,
-        runner: experiments::power_management::run,
+        run: experiments::power_management::run,
     },
-    FnExperiment {
+    Experiment {
         id: "ehpv3_audit",
         title: "Section III.A: why EHPv3 3D stacking was not productised",
         params: &[],
-        salt: 0,
-        runner: experiments::ehpv3_audit::run,
+        run: experiments::ehpv3_audit::run,
     },
-    FnExperiment {
+    Experiment {
         id: "ehpv4_audit",
         title: "Figure 4: remaining EHPv4 challenges vs MI300A",
         params: &[],
-        salt: 0,
-        runner: experiments::ehpv4_audit::run,
+        run: experiments::ehpv4_audit::run,
     },
-    FnExperiment {
+    Experiment {
         id: "microarch_audit",
         title: "Section IV.B: icache sharing, occupancy, L1 data path",
         params: &[],
-        salt: 0,
-        runner: experiments::microarch_audit::run,
+        run: experiments::microarch_audit::run,
     },
-    FnExperiment {
+    Experiment {
         id: "packaging_audit",
         title: "Figures 9/10 + Section V.A: mirroring, TSVs, beachfront",
         params: &[],
-        salt: 0,
-        runner: experiments::packaging_audit::run,
+        run: experiments::packaging_audit::run,
     },
-    FnExperiment {
+    Experiment {
         id: "ic_sweep",
         title: "Section IV.C: Infinity Cache / interleave trace sweep",
         params: &[
@@ -216,14 +189,9 @@ static REGISTRY: &[FnExperiment] = &[
                 kind: ParamKind::U64 { min: 1, max: 64 },
             },
         ],
-        // Salt 2: the decorrelated bank interleave (DESIGN.md §14)
-        // spreads traffic over all 16 banks per channel, moving every
-        // modeled bandwidth/latency figure (salt 1 was the bank-level
-        // channel decomposition of DESIGN.md §13).
-        salt: 2,
-        runner: experiments::ic_sweep::run,
+        run: experiments::ic_sweep::run,
     },
-    FnExperiment {
+    Experiment {
         id: "mem_bank_audit",
         title: "Section IV.C: bank-level channel decomposition audit",
         params: &[
@@ -233,13 +201,9 @@ static REGISTRY: &[FnExperiment] = &[
                 kind: ParamKind::U64 { min: 1, max: 64 },
             },
         ],
-        // Salt 1: the decorrelated interleave (DESIGN.md §14) re-aims
-        // the pinned single-bank stream and adds the gated
-        // `bank_coverage_min` metric.
-        salt: 1,
-        runner: experiments::mem_bank_audit::run,
+        run: experiments::mem_bank_audit::run,
     },
-    FnExperiment {
+    Experiment {
         id: "serve_selftest",
         title: "Serving: deterministic self-test (ok / panic / sleep modes)",
         params: &[
@@ -250,18 +214,16 @@ static REGISTRY: &[FnExperiment] = &[
             u64_pos("sleep_ms"),
             u64_pos("work"),
         ],
-        salt: 0,
-        runner: experiments::serve_selftest::run,
+        run: experiments::serve_selftest::run,
     },
-    FnExperiment {
+    Experiment {
         id: "serve_audit",
         title: "Serving: result-cache hit-rate audit (memory store)",
         params: &[ParamSpec {
             name: "entries",
             kind: ParamKind::U64 { min: 1, max: 4096 },
         }],
-        salt: 0,
-        runner: experiments::serve_audit::run,
+        run: experiments::serve_audit::run,
     },
 ];
 
@@ -279,7 +241,7 @@ pub fn schemas() -> Vec<ExperimentSchema> {
 
 /// All experiments, in paper order.
 #[must_use]
-pub fn all() -> &'static [FnExperiment] {
+pub fn all() -> &'static [Experiment] {
     REGISTRY
 }
 
@@ -291,11 +253,8 @@ pub fn ids() -> Vec<&'static str> {
 
 /// Looks up an experiment by id.
 #[must_use]
-pub fn find(id: &str) -> Option<&'static dyn Experiment> {
-    REGISTRY
-        .iter()
-        .find(|e| e.id == id)
-        .map(|e| e as &dyn Experiment)
+pub fn find(id: &str) -> Option<&'static Experiment> {
+    REGISTRY.iter().find(|e| e.id == id)
 }
 
 #[cfg(test)]

@@ -26,7 +26,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
-use ehp_serve::cache::{result_key, CacheCounters, ResultCache};
+use ehp_serve::cache::{build_fingerprint, result_key, CacheCounters, ResultCache};
 use ehp_serve::frame;
 use ehp_serve::pool::{self, PoolConfig, PoolStats, WorkerCommand};
 use ehp_serve::server::{self, Handler};
@@ -119,13 +119,17 @@ impl ServedBatch {
     }
 }
 
-/// The result-cache key for one **seed-resolved** scenario: experiment
-/// id + that experiment's registry salt + the scenario's canonical
-/// (compact, key-sorted) JSON.
+/// The result-cache key for one **seed-resolved** scenario under the
+/// running build. Panics if [`build_fingerprint`] is unreadable, where
+/// [`run_batch_served`] runs uncached instead.
 #[must_use]
 pub fn scenario_key(sc: &Scenario) -> u64 {
-    let salt = registry::find(&sc.experiment).map_or(0, |e| e.cache_salt());
-    result_key(&sc.experiment, salt, &sc.to_json().to_string_compact())
+    let build = build_fingerprint().expect("the running executable has readable metadata");
+    key_under(build, sc)
+}
+
+fn key_under(build: u64, sc: &Scenario) -> u64 {
+    result_key(build, &sc.experiment, &sc.to_json().to_string_compact())
 }
 
 /// The worker command for spawning this very binary in `worker` mode.
@@ -145,9 +149,14 @@ pub fn self_worker_command() -> io::Result<WorkerCommand> {
 pub fn run_batch_served(scenarios: &[Scenario], cfg: &ServingConfig) -> ServedBatch {
     let start = Instant::now();
     let resolved = resolve_seeds(scenarios, cfg.base_seed);
-    let keys: Vec<u64> = resolved.iter().map(scenario_key).collect();
+    // No keys without a cache; no cache without a build to key it by.
+    let build = cfg.use_cache.then(build_fingerprint).flatten();
+    let keys: Vec<u64> = match build {
+        Some(build) => resolved.iter().map(|sc| key_under(build, sc)).collect(),
+        None => Vec::new(),
+    };
 
-    let mut cache = cfg.use_cache.then(|| ResultCache::disk(&cfg.cache_dir));
+    let mut cache = build.map(|_| ResultCache::disk(&cfg.cache_dir));
     let mut traffic = CacheCounters::default();
     let mut slots: Vec<Option<Outcome>> = resolved.iter().map(|_| None).collect();
     let mut to_run: Vec<usize> = Vec::new();

@@ -1,24 +1,21 @@
 //! The content-hash-keyed experiment **result cache**.
 //!
 //! One entry per executed scenario, keyed by [`result_key`]: FNV-1a
-//! ([`ehp_sim_core::hash`]) over the cache schema version, the
-//! experiment id, the experiment's **code-version salt**, and the
-//! scenario's canonical (compact, key-sorted, seed-resolved) JSON. Any
-//! input that could change the outcome changes the key:
+//! ([`ehp_sim_core::hash`]) over the running build's
+//! [`build_fingerprint`], the experiment id, and the scenario's
+//! canonical (compact, key-sorted, seed-resolved) JSON. Any input that
+//! could change the outcome changes the key:
 //!
 //! * a different parameter, name, or seed changes the canonical JSON;
-//! * a behavioural change to an experiment's code is declared by
-//!   bumping that experiment's salt in the harness registry, which
-//!   invalidates exactly the touched experiment's entries;
-//! * a change to the cached shape itself bumps
-//!   [`RESULT_CACHE_SCHEMA`], which invalidates everything.
+//! * any rebuild of the binary changes the fingerprint, so an entry is
+//!   only ever read back by the build that wrote it. Invalidation holds
+//!   by construction; there is no version number to bump.
 //!
-//! The discipline is **versioned, degrade-to-empty, byte-identical hot
-//! or cold**. Every load failure — missing file, unparsable JSON,
-//! schema drift, key mismatch — is a miss, never an error; a corrupted
-//! entry is recomputed and overwritten. Disk writes go through a
-//! same-directory temp file plus rename so concurrent batches never
-//! observe a torn entry.
+//! The discipline is **degrade-to-empty, byte-identical hot or cold**.
+//! Every load failure — missing file, unparsable JSON, key mismatch —
+//! is a miss, never an error; a corrupted entry is recomputed and
+//! overwritten. Disk writes go through a same-directory temp file plus
+//! rename so concurrent batches never observe a torn entry.
 //!
 //! Two stores share the code path: [`ResultCache::disk`] (one file per
 //! key under `target/result-cache/`) for the CLI and the serve daemon,
@@ -27,28 +24,47 @@
 
 use std::collections::BTreeMap;
 use std::fs;
-use std::path::PathBuf;
+use std::os::unix::fs::MetadataExt;
+use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
 
 use ehp_sim_core::hash::{fnv1a_extend, FNV_OFFSET};
 use ehp_sim_core::json::Json;
 
-/// Schema tag stored in every entry; bump on any change to the cached
-/// shape or the key derivation.
-pub const RESULT_CACHE_SCHEMA: &str = "ehp-result-cache/v1";
+/// A hash of the running executable's file metadata, computed once per
+/// process; `None` if unreadable (callers then run uncached rather than
+/// key under a value another build could share).
+#[must_use]
+pub fn build_fingerprint() -> Option<u64> {
+    static BUILD: OnceLock<Option<u64>> = OnceLock::new();
+    *BUILD.get_or_init(|| file_fingerprint(&std::env::current_exe().ok()?))
+}
 
-/// Derives the cache key for one scenario execution.
+/// Hashes the device, inode, length and nanosecond mtime of `path`: a
+/// rebuild writes a new file, a copy lives on another inode. Metadata,
+/// not bytes: hashing a multi-megabyte binary costs milliseconds.
+fn file_fingerprint(path: &Path) -> Option<u64> {
+    let m = fs::metadata(path).ok()?;
+    let (mtime, nsec) = (m.mtime() as u64, m.mtime_nsec() as u64);
+    let mut h = FNV_OFFSET;
+    for v in [m.dev(), m.ino(), m.len(), mtime, nsec] {
+        h = fnv1a_extend(h, &v.to_le_bytes());
+    }
+    Some(h)
+}
+
+/// Derives the cache key for one scenario execution under `build`
+/// (normally [`build_fingerprint`]).
 ///
 /// `canonical_scenario` must be the scenario's compact JSON with the
 /// seed already resolved — two spellings of the same scenario hash
 /// identically, and two scenarios differing in any executed input
 /// (params, name, seed) hash apart.
 #[must_use]
-pub fn result_key(experiment: &str, salt: u64, canonical_scenario: &str) -> u64 {
-    let mut h = fnv1a_extend(FNV_OFFSET, RESULT_CACHE_SCHEMA.as_bytes());
-    h = fnv1a_extend(h, b"\0");
+pub fn result_key(build: u64, experiment: &str, canonical_scenario: &str) -> u64 {
+    let mut h = fnv1a_extend(FNV_OFFSET, &build.to_le_bytes());
     h = fnv1a_extend(h, experiment.as_bytes());
     h = fnv1a_extend(h, b"\0");
-    h = fnv1a_extend(h, &salt.to_le_bytes());
     fnv1a_extend(h, canonical_scenario.as_bytes())
 }
 
@@ -65,16 +81,6 @@ pub struct CacheCounters {
 }
 
 impl CacheCounters {
-    /// Traffic since `earlier` (which must be a prior snapshot).
-    #[must_use]
-    pub fn since(&self, earlier: &CacheCounters) -> CacheCounters {
-        CacheCounters {
-            hits: self.hits - earlier.hits,
-            misses: self.misses - earlier.misses,
-            stores: self.stores - earlier.stores,
-        }
-    }
-
     /// Counters as a JSON object.
     #[must_use]
     pub fn to_json(&self) -> Json {
@@ -128,7 +134,7 @@ impl ResultCache {
         self.counters
     }
 
-    fn entry_path(dir: &std::path::Path, key: u64) -> PathBuf {
+    fn entry_path(dir: &Path, key: u64) -> PathBuf {
         dir.join(format!("{key:016x}.json"))
     }
 
@@ -158,7 +164,6 @@ impl ResultCache {
     /// degrades to recomputation, it does not fail the batch.
     pub fn store(&mut self, key: u64, outcome: &Json) -> bool {
         let entry = Json::object([
-            ("schema", Json::from(RESULT_CACHE_SCHEMA)),
             ("key", Json::from(format!("{key:016x}"))),
             ("outcome", outcome.clone()),
         ]);
@@ -176,12 +181,9 @@ impl ResultCache {
     }
 }
 
-/// Validates one on-disk entry; `None` (a miss) unless the schema tag
-/// and the self-recorded key both match.
+/// Validates one on-disk entry; `None` (a miss) unless the
+/// self-recorded key matches.
 fn decode_entry(entry: &Json, key: u64) -> Option<Json> {
-    if entry.get("schema").and_then(Json::as_str) != Some(RESULT_CACHE_SCHEMA) {
-        return None;
-    }
     let recorded = u64::from_str_radix(entry.get("key")?.as_str()?, 16).ok()?;
     if recorded != key {
         return None;
@@ -191,7 +193,7 @@ fn decode_entry(entry: &Json, key: u64) -> Option<Json> {
 
 /// Write-to-temp-then-rename so concurrent readers never see a torn
 /// entry; any step failing simply drops the write.
-fn write_atomically(dir: &std::path::Path, key: u64, contents: &str) -> bool {
+fn write_atomically(dir: &Path, key: u64, contents: &str) -> bool {
     if fs::create_dir_all(dir).is_err() {
         return false;
     }
@@ -224,17 +226,17 @@ mod tests {
 
     #[test]
     fn key_depends_on_every_input() {
-        let k = result_key("figure20", 1, r#"{"experiment":"figure20"}"#);
-        assert_eq!(k, result_key("figure20", 1, r#"{"experiment":"figure20"}"#));
-        assert_ne!(k, result_key("figure19", 1, r#"{"experiment":"figure20"}"#));
-        assert_ne!(k, result_key("figure20", 2, r#"{"experiment":"figure20"}"#));
-        assert_ne!(k, result_key("figure20", 1, r#"{"experiment":"figure19"}"#));
+        let k = result_key(1, "figure20", r#"{"experiment":"figure20"}"#);
+        assert_eq!(k, result_key(1, "figure20", r#"{"experiment":"figure20"}"#));
+        assert_ne!(k, result_key(2, "figure20", r#"{"experiment":"figure20"}"#));
+        assert_ne!(k, result_key(1, "figure19", r#"{"experiment":"figure20"}"#));
+        assert_ne!(k, result_key(1, "figure20", r#"{"experiment":"figure19"}"#));
     }
 
     #[test]
     fn memory_round_trip_and_counters() {
         let mut c = ResultCache::memory();
-        let k = result_key("x", 0, "{}");
+        let k = result_key(1, "x", "{}");
         assert_eq!(c.lookup(k), None);
         assert!(c.store(k, &outcome("a")));
         assert_eq!(c.lookup(k), Some(outcome("a")));
@@ -251,7 +253,7 @@ mod tests {
     #[test]
     fn disk_round_trip_survives_a_new_handle() {
         let dir = tmp_dir("round-trip");
-        let k = result_key("x", 0, "{}");
+        let k = result_key(1, "x", "{}");
         let mut c = ResultCache::disk(&dir);
         assert_eq!(c.lookup(k), None, "cold cache must miss");
         assert!(c.store(k, &outcome("a")));
@@ -263,7 +265,7 @@ mod tests {
     #[test]
     fn corrupted_and_mismatched_entries_degrade_to_misses() {
         let dir = tmp_dir("corrupt");
-        let k = result_key("x", 0, "{}");
+        let k = result_key(1, "x", "{}");
         let mut c = ResultCache::disk(&dir);
         assert!(c.store(k, &outcome("a")));
 
@@ -271,17 +273,13 @@ mod tests {
         fs::write(ResultCache::entry_path(&dir, k), "{\"schema\": \"ehp").unwrap();
         assert_eq!(ResultCache::disk(&dir).lookup(k), None);
 
-        // Wrong schema tag → miss.
-        let entry = Json::object([
-            ("schema", Json::from("ehp-result-cache/v999")),
-            ("key", Json::from(format!("{k:016x}"))),
-            ("outcome", outcome("a")),
-        ]);
+        // Entry without a recorded key → miss.
+        let entry = Json::object([("outcome", outcome("a"))]);
         fs::write(ResultCache::entry_path(&dir, k), entry.to_string_compact()).unwrap();
         assert_eq!(ResultCache::disk(&dir).lookup(k), None);
 
         // Entry renamed under a different key (key mismatch) → miss.
-        let other = result_key("y", 0, "{}");
+        let other = result_key(1, "y", "{}");
         let mut c = ResultCache::disk(&dir);
         assert!(c.store(k, &outcome("a")));
         fs::rename(
@@ -298,17 +296,42 @@ mod tests {
     }
 
     #[test]
-    fn salt_bump_invalidates_exactly_the_touched_experiment() {
+    fn a_copied_or_retouched_binary_misses_every_entry() {
+        use std::time::{Duration, SystemTime};
+
+        let dir = tmp_dir("fingerprint");
+        fs::create_dir_all(&dir).unwrap();
+        let exe = dir.join("ehp");
+        fs::write(&exe, "build").unwrap();
+        let touch = |path: &Path, secs| {
+            let file = fs::File::options().write(true).open(path).unwrap();
+            file.set_modified(SystemTime::UNIX_EPOCH + Duration::from_secs(secs))
+                .unwrap();
+        };
+        touch(&exe, 1_000_000);
+        let built = file_fingerprint(&exe).unwrap();
+        assert_eq!(built, file_fingerprint(&exe).unwrap(), "stable per file");
+
+        // A copy with the same length and mtime: only its inode differs,
+        // since it coexists with the original.
+        let copy = dir.join("ehp-copy");
+        fs::copy(&exe, &copy).unwrap();
+        touch(&copy, 1_000_000);
+        let copied = file_fingerprint(&copy).unwrap();
+        // The same file after an explicit change of its mtime.
+        touch(&exe, 2_000_000);
+        let retouched = file_fingerprint(&exe).unwrap();
+
+        let scenario = r#"{"experiment":"figure20"}"#;
         let mut c = ResultCache::memory();
-        let ka0 = result_key("exp_a", 0, r#"{"name":"a"}"#);
-        let kb0 = result_key("exp_b", 0, r#"{"name":"b"}"#);
-        c.store(ka0, &outcome("a"));
-        c.store(kb0, &outcome("b"));
-        // Bump exp_a's salt: its key moves (miss), exp_b's does not (hit).
-        assert_eq!(c.lookup(result_key("exp_a", 1, r#"{"name":"a"}"#)), None);
+        c.store(result_key(built, "figure20", scenario), &outcome("a"));
+        for other in [copied, retouched] {
+            assert_ne!(other, built);
+            assert_eq!(c.lookup(result_key(other, "figure20", scenario)), None);
+        }
         assert_eq!(
-            c.lookup(result_key("exp_b", 0, r#"{"name":"b"}"#)),
-            Some(outcome("b"))
+            c.lookup(result_key(built, "figure20", scenario)),
+            Some(outcome("a"))
         );
     }
 

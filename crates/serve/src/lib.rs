@@ -7,10 +7,10 @@
 //! the long-running `ehp serve` Unix-socket daemon:
 //!
 //! * [`cache`] — a content-hash-keyed experiment **result cache**
-//!   (`target/result-cache/`): key = FNV-1a over the canonical scenario
-//!   JSON, the experiment id, and a per-experiment code-version salt.
-//!   Versioned, degrade-to-empty on any load failure, byte-identical
-//!   summaries hot or cold.
+//!   (`target/result-cache/`): key = FNV-1a over the running build's
+//!   fingerprint, the experiment id, and the canonical scenario JSON.
+//!   Scoped to one build, degrade-to-empty on any load failure,
+//!   byte-identical summaries hot or cold.
 //! * [`pool`] — a **multi-process worker pool**: child processes of the
 //!   same binary claim scenario chunks over a length-prefixed JSON
 //!   stdin/stdout protocol ([`frame`]). Workers that die, emit

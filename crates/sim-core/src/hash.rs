@@ -21,7 +21,7 @@ pub const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 /// Folds `bytes` into an existing FNV-1a state, returning the new state.
 ///
 /// Chaining calls hashes the concatenation: callers building composite
-/// keys (e.g. experiment id + salt + scenario JSON) thread the state
+/// keys (e.g. build fingerprint + experiment id + scenario JSON) thread the state
 /// through without allocating an intermediate buffer.
 #[must_use]
 pub fn fnv1a_extend(mut h: u64, bytes: &[u8]) -> u64 {
