@@ -1,16 +1,23 @@
-//! Sharded trace-replay bench — the perf surface behind the `jobs`
-//! knob. Measures `replay` at jobs = 1, 2, 4, 8 over Random and Hot
-//! traces on the MI300 memory subsystem (1M accesses), and asserts —
-//! outside the timed region — that every sharded result is
-//! bit-identical to the sequential reference.
+//! Bank-bucketed trace-replay bench — the perf surface behind the
+//! `jobs` knob. Measures `replay` at jobs = 1, 2, 4, 8 over Random and
+//! Hot traces on the MI300 memory subsystem (1M accesses), and asserts
+//! — outside the timed region — that every result is bit-identical to
+//! the per-request reference.
+//!
+//! The `mem_new` group times memory-model construction on its own:
+//! `untouched` builds and drops a subsystem no traffic reaches (its
+//! channels stay unbuilt), `dense` also builds every bank — through an
+//! empty-bucket `replay_sharded`, as a replay covering the whole socket
+//! would — before the drop.
 //!
 //! CI gates this bench against `crates/bench/baselines/replay.json`
 //! (see `ci.sh`); regenerate with
 //! `cargo bench --bench replay -- --save-baseline crates/bench/baselines/replay.json`.
 
 use ehp_bench::microbench::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use ehp_mem::subsystem::{MemConfig, MemorySubsystem};
+use ehp_mem::subsystem::{BankBuckets, MemConfig, MemorySubsystem};
 use ehp_mem::trace::{replay, replay_sequential, Pattern, TraceConfig};
+use ehp_sim_core::units::Bytes;
 
 const ACCESSES: u64 = 1_000_000;
 
@@ -85,9 +92,32 @@ fn bench_replay_hot_skew(c: &mut Criterion) {
     );
 }
 
+fn bench_mem_new(c: &mut Criterion) {
+    let mut g = c.benchmark_group("mem_new");
+    g.bench_with_input(BenchmarkId::from_parameter("untouched"), &(), |b, ()| {
+        b.iter(|| drop(black_box(MemorySubsystem::new(MemConfig::mi300_hbm3()))));
+    });
+    g.bench_with_input(BenchmarkId::from_parameter("dense"), &(), |b, ()| {
+        b.iter(|| {
+            let mut mem = MemorySubsystem::new(MemConfig::mi300_hbm3());
+            let empty = BankBuckets::new(mem.total_banks(), Bytes(128), 0);
+            black_box(mem.replay_sharded(1, &empty));
+            drop(black_box(mem));
+        });
+    });
+    g.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(5);
     targets = bench_replay_random, bench_replay_hot, bench_replay_hot_skew
 }
-criterion_main!(benches);
+// Construction takes microseconds to milliseconds, so it affords the
+// samples that keep its gated minimum stable.
+criterion_group! {
+    name = construction;
+    config = Criterion::default().sample_size(50);
+    targets = bench_mem_new
+}
+criterion_main!(benches, construction);

@@ -425,18 +425,44 @@ impl BankUnit {
 
 /// A memory channel: independent per-bank units behind a shared address
 /// mapping. Aggregate statistics fold the banks in bank-index order.
+///
+/// The banks are built lazily, all at once, by the first
+/// [`MemoryChannel::access`] or [`MemoryChannel::banks_mut`] call. A
+/// socket has 128 channels and many runs touch only some of them (an
+/// NPS4 tenant, a small footprint) or none (a subsystem built only to
+/// query its geometry), so an untouched channel costs its config and
+/// nothing else. Laziness is invisible to every read-only getter: they
+/// fold over the built banks only, and an unbuilt channel reports
+/// exactly what freshly built banks would — zero counters, bytes and
+/// energy, and an empty latency [`Accumulator`], whose merge is an exact
+/// identity.
 #[derive(Debug, Clone)]
 pub struct MemoryChannel {
     cfg: ChannelConfig,
+    /// Empty until the channel is first touched, then one unit per bank.
     banks: Vec<BankUnit>,
 }
 
 impl MemoryChannel {
-    /// Builds a channel from its configuration.
+    /// Creates a channel from its configuration. Only the configuration
+    /// is stored: the bank units are built on first use (see the type
+    /// docs).
     #[must_use]
     pub fn new(cfg: ChannelConfig) -> MemoryChannel {
-        let banks = (0..cfg.banks()).map(|_| BankUnit::new(&cfg)).collect();
-        MemoryChannel { cfg, banks }
+        MemoryChannel {
+            cfg,
+            banks: Vec::new(),
+        }
+    }
+
+    /// The bank units, built on first call.
+    fn built_banks(&mut self) -> &mut Vec<BankUnit> {
+        if self.banks.is_empty() {
+            self.banks = (0..self.cfg.banks())
+                .map(|_| BankUnit::new(&self.cfg))
+                .collect();
+        }
+        &mut self.banks
     }
 
     /// Performs one access; returns completion time and service point.
@@ -447,8 +473,8 @@ impl MemoryChannel {
         size: Bytes,
         is_write: bool,
     ) -> (SimTime, ServicePoint) {
-        let (bank, local) = bank_slot(addr, self.banks.len() as u64);
-        self.banks[bank].access(at, local, size, is_write)
+        let (bank, local) = bank_slot(addr, self.cfg.banks() as u64);
+        self.built_banks()[bank].access(at, local, size, is_write)
     }
 
     /// Drains every bank's deferred background charges so aggregate
@@ -459,16 +485,18 @@ impl MemoryChannel {
         }
     }
 
-    /// The per-bank units, in bank-index order.
+    /// The per-bank units, in bank-index order. Empty for a channel no
+    /// access or [`MemoryChannel::banks_mut`] call has built yet.
     #[must_use]
     pub fn banks(&self) -> &[BankUnit] {
         &self.banks
     }
 
-    /// Mutable per-bank units, in bank-index order (sharded replay
-    /// partitions these across workers).
+    /// Mutable per-bank units, in bank-index order, building them if the
+    /// channel is still untouched (sharded replay partitions these
+    /// across workers).
     pub fn banks_mut(&mut self) -> &mut [BankUnit] {
-        &mut self.banks
+        self.built_banks()
     }
 
     /// Total energy: HBM plus slice accesses, folded in bank order.
@@ -702,6 +730,43 @@ mod tests {
         assert!(e_total > e_miss);
         // A slice hit must be cheaper than the HBM fetch.
         assert!(e_total - e_miss < e_miss);
+    }
+
+    #[test]
+    fn untouched_channel_reports_what_fresh_banks_report() {
+        for cfg in [ChannelConfig::mi300(), ChannelConfig::mi250x()] {
+            let banks = cfg.banks();
+            let lazy = MemoryChannel::new(cfg.clone());
+            let mut built = MemoryChannel::new(cfg);
+            assert_eq!(built.banks_mut().len(), banks);
+            assert!(lazy.banks().is_empty(), "new() must not build banks");
+            assert_eq!(built.banks().len(), banks);
+            assert_eq!(
+                lazy.energy_used().as_joules().to_bits(),
+                built.energy_used().as_joules().to_bits()
+            );
+            assert_eq!(lazy.energy_used().as_joules().to_bits(), 0.0f64.to_bits());
+            assert_eq!(lazy.hbm_bytes_moved(), built.hbm_bytes_moved());
+            assert_eq!(lazy.icache_bytes(), built.icache_bytes());
+            assert_eq!(lazy.row_hits(), built.row_hits());
+            assert_eq!(lazy.row_misses(), built.row_misses());
+            assert_eq!(lazy.refreshes(), built.refreshes());
+            assert_eq!(lazy.icache_hits(), built.icache_hits());
+            assert_eq!(lazy.icache_misses(), built.icache_misses());
+            assert_eq!(lazy.icache_hit_rate(), built.icache_hit_rate());
+            assert_eq!(lazy.latency_stats(), built.latency_stats());
+            assert_eq!(lazy.hbm_peak_rate(), built.hbm_peak_rate());
+        }
+    }
+
+    #[test]
+    fn first_access_builds_every_bank() {
+        let mut ch = MemoryChannel::new(ChannelConfig::mi300());
+        ch.access(SimTime::ZERO, 0x1000, Bytes(128), false);
+        assert_eq!(ch.banks().len(), 16);
+        // Later accesses reuse the built banks: state accumulates.
+        ch.access(SimTime::ZERO, 0x1000, Bytes(128), false);
+        assert_eq!(ch.icache_hits(), 1);
     }
 
     #[test]

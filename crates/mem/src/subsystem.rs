@@ -129,6 +129,12 @@ impl MemConfig {
 
 /// The socket memory subsystem.
 ///
+/// Construction stores the interleaver and one configuration per
+/// channel; a channel's bank units (cache slices, HBM lanes, event
+/// queues) are built when traffic first reaches it, so a subsystem that
+/// is only queried for its geometry, or whose traffic stays on a few
+/// stacks, never pays for the rest.
+///
 /// # Example
 ///
 /// ```
@@ -191,35 +197,37 @@ impl MemorySubsystem {
         }
     }
 
-    /// Replays independent (issue-at-zero) request streams across the
-    /// DRAM banks on `jobs` worker threads under a **work-stealing
-    /// scheduler**: each worker seeds a deque with a contiguous block
-    /// of flat bank ids (`channel x banks_per_channel + bank`, empty
-    /// buckets dropped), drains its own deque from the front, and — on
-    /// running dry — steals the back half of the fullest-looking victim
-    /// deque. Skewed traces whose requests pile onto a few banks
-    /// therefore no longer serialise on the one worker whose static
-    /// block happened to own them; the only irreducibly serial work is
-    /// a single bank's own sub-stream.
+    /// Replays independent (issue-at-zero) request streams bank by
+    /// bank — the engine behind [`crate::trace::replay`] at every `jobs`.
     ///
-    /// `buckets` holds one request bucket per flat bank — bank-local
-    /// packed addresses via [`MemorySubsystem::flat_bank_of`] — in
-    /// trace order. Because the interleaver and [`bank_slot`]
-    /// deterministically steer every address to exactly one bank, and
-    /// banks share no state, replaying each bank's sub-stream in order
-    /// evolves precisely the state the sequential loop would have
-    /// produced **regardless of which worker replays which bank or in
-    /// what order**: per-bank latency accumulators merge in flat bank
-    /// order at read time, and the cross-shard aggregates (request
-    /// counters, byte total, completion-time maximum) are commutative
-    /// integer folds. Results are bit-identical to a sequential
-    /// [`MemorySubsystem::access`] loop over the same trace at any
-    /// `jobs` value; `jobs = 1` takes an inline sequential path with no
-    /// queues at all.
+    /// `buckets` holds one request bucket per flat bank (`channel x
+    /// banks_per_channel + bank`) — bank-local packed addresses via
+    /// [`MemorySubsystem::flat_bank_of`] — in trace order. At `jobs = 1`
+    /// the banks replay inline on the calling thread, in flat-bank
+    /// order, with no queues at all. At `jobs > 1` a **work-stealing
+    /// scheduler** takes over: each worker seeds a deque with a
+    /// contiguous block of flat bank ids (empty buckets dropped), drains
+    /// its own deque from the front, and — on running dry — steals the
+    /// back half of the fullest-looking victim deque. Skewed traces
+    /// whose requests pile onto a few banks therefore do not serialise
+    /// on the one worker whose static block happened to own them; the
+    /// only irreducibly serial work is a single bank's own sub-stream.
     ///
-    /// Every bank's deferred background traffic is drained after its
-    /// bucket (the sequential path does the same via
-    /// [`MemorySubsystem::drain_background`]).
+    /// Because the interleaver and [`bank_slot`] deterministically steer
+    /// every address to exactly one bank, and banks share no state,
+    /// replaying each bank's sub-stream in order evolves precisely the
+    /// state the sequential loop would have produced **regardless of
+    /// which worker replays which bank or in what order**: per-bank
+    /// latency accumulators merge in flat bank order at read time, and
+    /// the cross-shard aggregates (request counters, byte total,
+    /// completion-time maximum) are commutative integer folds. Results
+    /// are bit-identical to a sequential [`MemorySubsystem::access`]
+    /// loop over the same trace at any `jobs` value.
+    ///
+    /// Every channel's banks are built (channels are otherwise built on
+    /// first access, see [`MemoryChannel`]), and every bank's deferred
+    /// background traffic is drained after its bucket (the sequential
+    /// path does the same via [`MemorySubsystem::drain_background`]).
     ///
     /// Returns the time the last access completes.
     ///
@@ -271,6 +279,21 @@ impl MemorySubsystem {
         self.writes.add(writes);
         self.bytes += Bytes(size.as_u64() * entries);
         last
+    }
+
+    /// Builds every channel's bank units now instead of on first
+    /// access. [`crate::trace::replay`] calls this before its bucket
+    /// pass so the long-lived bank state is allocated ahead of the
+    /// transient buckets: freed buckets below the banks let the
+    /// allocator coalesce the banks' whole region on drop and return it
+    /// to the OS, and the next subsystem pays ~4.6k page faults to map
+    /// it again (measured on a build / replay / drop loop over 1M
+    /// accesses: ~7.0k faults per iteration bucketing first, ~2.4k
+    /// building first).
+    pub(crate) fn build_banks(&mut self) {
+        for c in &mut self.channels {
+            c.banks_mut();
+        }
     }
 
     /// The stealing scheduler behind [`MemorySubsystem::replay_sharded`]
@@ -539,6 +562,85 @@ mod tests {
         let mem = MemorySubsystem::new(MemConfig::mi300_hbm3());
         assert_eq!(mem.channels().len(), 128);
         assert!((mem.peak_hbm_bandwidth().as_tb_s() - 5.3).abs() < 0.05);
+    }
+
+    /// Every aggregate getter of `mem`, in a comparable form (floats
+    /// as bits).
+    fn aggregates(mem: &MemorySubsystem) -> impl PartialEq + std::fmt::Debug {
+        let per_channel: Vec<_> = mem
+            .channels()
+            .iter()
+            .map(|c| {
+                (
+                    c.row_hits(),
+                    c.row_misses(),
+                    c.refreshes(),
+                    c.hbm_bytes_moved(),
+                    c.icache_bytes(),
+                    c.icache_hit_rate().map(f64::to_bits),
+                )
+            })
+            .collect();
+        (
+            mem.reads(),
+            mem.writes(),
+            mem.bytes_served(),
+            mem.energy_used().as_joules().to_bits(),
+            mem.latency_stats(),
+            mem.icache_hit_rate().map(f64::to_bits),
+            mem.achieved_bandwidth(SimTime::from_nanos(1))
+                .map(|b| b.as_bytes_per_sec().to_bits()),
+            per_channel,
+        )
+    }
+
+    #[test]
+    fn fresh_subsystem_getters_are_exact_zero() {
+        for cfg in [MemConfig::mi300_hbm3(), MemConfig::mi250x_hbm2e()] {
+            let lazy = MemorySubsystem::new(cfg.clone());
+            assert!(lazy.channels().iter().all(|c| c.banks().is_empty()));
+            assert_eq!(lazy.reads(), 0);
+            assert_eq!(lazy.writes(), 0);
+            assert_eq!(lazy.bytes_served(), Bytes::ZERO);
+            assert_eq!(lazy.energy_used().as_joules().to_bits(), 0.0f64.to_bits());
+            assert_eq!(lazy.latency_stats(), Accumulator::new("mem_latency_ns"));
+            assert_eq!(lazy.mean_latency_ns(), None);
+            assert_eq!(lazy.icache_hit_rate(), None);
+            let channels = lazy.channels();
+            assert_eq!(channels.iter().map(MemoryChannel::row_hits).sum::<u64>(), 0);
+            assert_eq!(
+                channels.iter().map(MemoryChannel::row_misses).sum::<u64>(),
+                0
+            );
+            assert_eq!(
+                channels.iter().map(MemoryChannel::refreshes).sum::<u64>(),
+                0
+            );
+            assert_eq!(lazy.achieved_bandwidth(SimTime::ZERO), None);
+            assert_eq!(
+                lazy.achieved_bandwidth(SimTime::from_nanos(1))
+                    .map(|b| b.as_bytes_per_sec().to_bits()),
+                Some(0.0f64.to_bits())
+            );
+
+            // Building every bank without traffic changes no getter.
+            let mut built = MemorySubsystem::new(cfg);
+            let empty = BankBuckets::new(built.total_banks(), Bytes(128), 0);
+            assert_eq!(built.replay_sharded(1, &empty), SimTime::ZERO);
+            let banks = built.banks_per_channel();
+            assert!(built.channels().iter().all(|c| c.banks().len() == banks));
+            assert_eq!(aggregates(&lazy), aggregates(&built));
+        }
+    }
+
+    #[test]
+    fn one_access_builds_exactly_its_channel() {
+        let mut mem = MemorySubsystem::new(MemConfig::mi300_hbm3());
+        let resp = mem.access(SimTime::ZERO, MemRequest::read(0x4_0000, 128));
+        for (idx, ch) in mem.channels().iter().enumerate() {
+            let want = if idx == resp.channel.index() { 16 } else { 0 };
+            assert_eq!(ch.banks().len(), want, "channel {idx}");
+        }
     }
 
     #[test]

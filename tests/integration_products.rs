@@ -60,6 +60,15 @@ fn apu_socket_matches_spec_numbers() {
 }
 
 #[test]
+fn apu_assembly_builds_no_memory_banks() {
+    // Channels build their bank units on first traffic, so assembling a
+    // socket (as figure7 does, to read its interface table) allocates
+    // no cache slices or HBM lanes.
+    let apu = ApuSystem::new(Product::Mi300a);
+    assert!(apu.memory().channels().iter().all(|c| c.banks().is_empty()));
+}
+
+#[test]
 fn partition_dispatchers_cover_all_cus() {
     for product in [Product::Mi300a, Product::Mi300x] {
         let spec = product.spec();

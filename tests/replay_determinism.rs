@@ -1,10 +1,12 @@
-//! Determinism suite for sharded trace replay: for every access
+//! Determinism suite for bank-bucketed trace replay: for every access
 //! pattern, every memory configuration, and every parallelism level,
-//! `replay` with `jobs` > 1 must produce a [`ReplayResult`] and
-//! subsystem-level statistics bit-identical to the sequential
-//! reference path. This is the contract that makes the `jobs` knob
-//! safe to flip in scenario specs: parallelism changes wall-clock
-//! time and nothing else.
+//! `replay` must produce a [`ReplayResult`] and subsystem-level
+//! statistics bit-identical to the per-request reference path
+//! (`replay_sequential`), and every path must conserve bytes: the
+//! subsystem serves exactly `accesses x line` bytes over exactly
+//! `accesses` reads and writes. This is the contract that makes the
+//! `jobs` knob safe to flip in scenario specs: parallelism changes
+//! wall-clock time and nothing else.
 //!
 //! The sharding rule that makes this possible: the interleaver steers
 //! each address to exactly one channel and the row decoder steers each
@@ -16,10 +18,15 @@
 //! one pattern that cannot shard (each address derives from the
 //! previous completion time), so `replay` must fall back to the
 //! sequential path for it at any `jobs` value.
+//!
+//! Channels build their banks on first traffic while bucketed replay
+//! builds all of them, so the suite also pins that an untouched
+//! channel reports exactly what a built, idle one does.
 
 use ehp_mem::channel::EventKernel;
 use ehp_mem::subsystem::{MemConfig, MemorySubsystem};
 use ehp_mem::trace::{replay, replay_sequential, Pattern, TraceConfig};
+use ehp_sim_core::units::Bytes;
 
 const PATTERNS: [(&str, Pattern); 5] = [
     ("sequential", Pattern::Sequential),
@@ -35,6 +42,46 @@ const PATTERNS: [(&str, Pattern); 5] = [
     ("chase", Pattern::PointerChase),
 ];
 
+/// The bytes conservation law every replay path must obey.
+fn assert_conserves_bytes(ctx: &str, mem: &MemorySubsystem, cfg: &TraceConfig) {
+    assert_eq!(
+        mem.bytes_served(),
+        Bytes(cfg.accesses * cfg.line),
+        "{ctx}: bytes served"
+    );
+    assert_eq!(mem.reads() + mem.writes(), cfg.accesses, "{ctx}: requests");
+}
+
+/// Every subsystem-level and per-channel statistic, floats as bits.
+fn observables(mem: &MemorySubsystem) -> impl PartialEq + std::fmt::Debug {
+    let channels: Vec<_> = mem
+        .channels()
+        .iter()
+        .map(|c| {
+            (
+                c.row_hits(),
+                c.row_misses(),
+                c.refreshes(),
+                c.hbm_bytes_moved(),
+                c.icache_bytes(),
+                c.icache_hits(),
+                c.icache_misses(),
+                c.energy_used().as_joules().to_bits(),
+                c.latency_stats(),
+            )
+        })
+        .collect();
+    (
+        mem.reads(),
+        mem.writes(),
+        mem.bytes_served(),
+        mem.energy_used().as_joules().to_bits(),
+        mem.latency_stats(),
+        mem.icache_hit_rate().map(f64::to_bits),
+        channels,
+    )
+}
+
 fn assert_sharded_matches_sequential(label: &str, make: impl Fn() -> MemorySubsystem) {
     for (pname, pattern) in PATTERNS {
         let base = TraceConfig {
@@ -46,6 +93,7 @@ fn assert_sharded_matches_sequential(label: &str, make: impl Fn() -> MemorySubsy
         };
         let mut seq = make();
         let want = replay_sequential(&mut seq, &base);
+        assert_conserves_bytes(&format!("{label}/{pname} reference"), &seq, &base);
 
         // 32 exceeds any plausible worker pool and lands mid-way into
         // the flat-bank range, exercising uneven chunk boundaries.
@@ -55,6 +103,7 @@ fn assert_sharded_matches_sequential(label: &str, make: impl Fn() -> MemorySubsy
             let got = replay(&mut mem, &cfg);
             let ctx = format!("{label}/{pname} jobs={jobs}");
             assert_eq!(got, want, "{ctx}: ReplayResult diverged");
+            assert_conserves_bytes(&ctx, &mem, &cfg);
             // The merged subsystem state must match too — counters
             // exactly, floating-point aggregates bit for bit.
             assert_eq!(mem.reads(), seq.reads(), "{ctx}: reads");
@@ -95,6 +144,45 @@ fn sharded_replay_is_bit_identical_mi250x() {
     assert_sharded_matches_sequential("mi250x_hbm2e", || {
         MemorySubsystem::new(MemConfig::mi250x_hbm2e())
     });
+}
+
+#[test]
+fn traces_that_leave_channels_unbuilt_replay_identically() {
+    // One 4 KiB stack granule reaches 16 of 128 channels; an NPS4
+    // footprint inside domain 0 reaches that domain's 32. The
+    // per-request reference builds only those, bucketed replay builds
+    // them all — every statistic must still agree bit for bit.
+    let cases = [
+        ("mi300 one stack granule", MemConfig::mi300_hbm3(), 4096),
+        ("mi300 nps4 domain 0", MemConfig::mi300_nps4(), 1 << 24),
+    ];
+    for (label, mem_cfg, footprint) in cases {
+        let base = TraceConfig {
+            accesses: 8_000,
+            footprint,
+            ..TraceConfig::new(Pattern::Random)
+        };
+        let mut seq = MemorySubsystem::new(mem_cfg.clone());
+        let want = replay_sequential(&mut seq, &base);
+        let unbuilt = seq
+            .channels()
+            .iter()
+            .filter(|c| c.banks().is_empty())
+            .count();
+        assert!(
+            unbuilt >= 96,
+            "{label}: reference built {unbuilt} channels too few"
+        );
+        for jobs in [1usize, 2, 8] {
+            let cfg = TraceConfig { jobs, ..base };
+            let mut mem = MemorySubsystem::new(mem_cfg.clone());
+            let ctx = format!("{label} jobs={jobs}");
+            assert_eq!(replay(&mut mem, &cfg), want, "{ctx}");
+            assert!(mem.channels().iter().all(|c| !c.banks().is_empty()));
+            assert_eq!(observables(&mem), observables(&seq), "{ctx}");
+            assert_conserves_bytes(&ctx, &mem, &cfg);
+        }
+    }
 }
 
 #[test]
