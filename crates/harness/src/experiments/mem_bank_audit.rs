@@ -24,7 +24,7 @@
 //!    the sequential reference bit for bit.
 //!
 //! Scenario parameters: `accesses` (per stream / trace; default
-//! 20000), `jobs` (replay workers for the sharded runs; default 8).
+//! 20000, at most `registry::MAX_TRACE_ACCESSES`), `jobs` (replay workers for the sharded runs; default 8).
 //! The trace seed is the scenario seed.
 
 use ehp_mem::channel::{bank_mix, EventKernel};

@@ -18,6 +18,25 @@ const fn u64_pos(name: &'static str) -> ParamSpec {
     }
 }
 
+/// Largest `accesses` a memory-trace scenario takes. Replay buckets
+/// the whole trace before it replays it (8 B per access at every
+/// `jobs`; see `ehp_mem::trace::replay`), so a scenario from outside
+/// the program must not size that buffer freely: this cap holds it to
+/// 32 MiB.
+pub const MAX_TRACE_ACCESSES: u64 = 1 << 22;
+
+/// A memory trace's `accesses` parameter, bounded by
+/// [`MAX_TRACE_ACCESSES`].
+const fn trace_accesses() -> ParamSpec {
+    ParamSpec {
+        name: "accesses",
+        kind: ParamKind::U64 {
+            min: 1,
+            max: MAX_TRACE_ACCESSES,
+        },
+    }
+}
+
 /// Shorthand for an unbounded number parameter of at least `min`. A
 /// TDP or a checkpoint write time must be positive, so those start at
 /// one watt or one second.
@@ -178,7 +197,7 @@ static REGISTRY: &[Experiment] = &[
                 name: "pattern",
                 kind: ParamKind::EnumStr(&["sequential", "strided", "random", "chase", "hot"]),
             },
-            u64_pos("accesses"),
+            trace_accesses(),
             u64_pos("footprint_mib"),
             ParamSpec {
                 name: "write_fraction",
@@ -195,7 +214,7 @@ static REGISTRY: &[Experiment] = &[
         id: "mem_bank_audit",
         title: "Section IV.C: bank-level channel decomposition audit",
         params: &[
-            u64_pos("accesses"),
+            trace_accesses(),
             ParamSpec {
                 name: "jobs",
                 kind: ParamKind::U64 { min: 1, max: 64 },
@@ -325,5 +344,30 @@ mod tests {
             }
         }
         assert!(runs >= 12, "only {runs} parameter values ran");
+    }
+
+    #[test]
+    fn trace_experiments_accept_accesses_up_to_the_cap_only() {
+        use crate::executor::{run_one, OutcomeStatus};
+        use crate::scenario::Scenario;
+        use ehp_lint::schema::validate_scenario;
+        use ehp_sim_core::json::Json;
+
+        for id in ["ic_sweep", "mem_bank_audit"] {
+            let findings = |n: u64| {
+                let spec = format!(r#"{{"experiment":"{id}","params":{{"accesses":{n}}}}}"#);
+                validate_scenario("spec", &spec, &schemas()).len()
+            };
+            assert_eq!(findings(MAX_TRACE_ACCESSES), 0, "{id}");
+            assert_eq!(findings(MAX_TRACE_ACCESSES + 1), 1, "{id}");
+        }
+        // The largest trace a scenario may ask for replays on the
+        // bucketed path (jobs 1) and reports finite metrics.
+        let sc = Scenario::default_for("ic_sweep")
+            .with_param("accesses", Json::from(MAX_TRACE_ACCESSES))
+            .with_param("pattern", Json::from("random"));
+        let out = run_one(&sc);
+        assert_eq!(out.status, OutcomeStatus::Ok);
+        assert!(out.metrics.iter().all(|(_, m)| m.is_finite()));
     }
 }
