@@ -105,7 +105,6 @@ step "perf smoke (fabric)" cargo bench --offline --bench fabric -- \
 # looser than the compute benches because the cold path is filesystem
 # bound. Regenerate with:
 #   cargo bench --bench serve -- --save-baseline crates/bench/baselines/serve.json
-# (then drop the serve_pool/* records — spawn cost is OS noise).
 step "perf smoke (serve)" cargo bench --offline --bench serve -- \
     --baseline crates/bench/baselines/serve.json --threshold 0.50
 
@@ -156,6 +155,17 @@ step "a different binary re-executes everything" sh -c '
     grep -q "\"hits\": 0" target/figures/cache_stats.json &&
     cmp target/run_summary.cold.json target/figures/run_summary.json;
     status=$?; rm -f target/ehp-copy; exit $status'
+# Thread count is the executor's only knob, and it must not reach the
+# summary: a serial uncached run reproduces the cold --jobs 8 bytes.
+step "serial summary byte-identical" sh -c '
+    ./target/release/ehp all --jobs 1 --no-result-cache --quiet &&
+    cmp target/run_summary.cold.json target/figures/run_summary.json'
+# `ehp run` applies the same S1 schema as `ehp serve` and `ehp lint`:
+# an override past the trace cap (2^22 accesses) exits 2 before
+# anything executes.
+step "out-of-schema run rejected" sh -c '
+    ./target/release/ehp run ic_sweep -p accesses=4194305 --quiet --no-result-cache
+    test $? -eq 2'
 step "ehp check" ./target/release/ehp check
 
 echo

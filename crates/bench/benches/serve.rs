@@ -2,12 +2,10 @@
 //! batches, the cache-key hashing loop, and the frame codec. CI gates
 //! the cache benches against `crates/bench/baselines/serve.json` —
 //! a warm batch regressing toward cold cost means the cache stopped
-//! paying for itself. The worker-pool records are deliberately *not*
-//! in the baseline: process spawn cost is OS noise, not model perf.
+//! paying for itself.
 //!
 //! Regenerate after intentional perf changes with:
 //! `cargo bench --bench serve -- --save-baseline crates/bench/baselines/serve.json`
-//! (then drop the `serve_pool/*` records before committing).
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -17,7 +15,6 @@ use ehp_harness::executor::resolve_seeds;
 use ehp_harness::scenario::Scenario;
 use ehp_harness::serving::{run_batch_served, scenario_key, ServingConfig};
 use ehp_serve::frame::{read_frame, write_frame};
-use ehp_serve::pool::WorkerCommand;
 use ehp_sim_core::json::Json;
 
 const SCENARIOS: usize = 16;
@@ -102,7 +99,7 @@ fn bench_key(c: &mut Criterion) {
 }
 
 /// Length-prefixed frame codec round trip on an outcome-sized payload —
-/// the per-chunk protocol overhead of the worker pool and the daemon.
+/// the per-frame protocol overhead of the daemon.
 fn bench_frame(c: &mut Criterion) {
     let payload = Json::object([
         ("id", Json::from(7u64)),
@@ -127,47 +124,9 @@ fn bench_frame(c: &mut Criterion) {
     });
 }
 
-/// Worker pool vs in-process, unbaselined (spawn cost is environment
-/// noise): printed for eyeballing the pool's break-even point. Skipped
-/// when the release `ehp` binary has not been built yet.
-fn bench_pool(c: &mut Criterion) {
-    let ehp = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/release/ehp");
-    if !ehp.exists() {
-        println!("serve_pool: skipped (build target/release/ehp first)");
-        return;
-    }
-    let scenarios = batch();
-    let mut g = c.benchmark_group("serve_pool");
-    g.bench_with_input(
-        BenchmarkId::from_parameter("inprocess"),
-        &scenarios,
-        |b, scenarios| {
-            let cfg = ServingConfig {
-                use_cache: false,
-                ..ServingConfig::default()
-            };
-            b.iter(|| black_box(run_batch_served(scenarios, &cfg).result.ok_count()));
-        },
-    );
-    g.bench_with_input(
-        BenchmarkId::from_parameter("workers2"),
-        &scenarios,
-        |b, scenarios| {
-            let cfg = ServingConfig {
-                use_cache: false,
-                workers: 2,
-                worker_cmd: Some(WorkerCommand::new(&ehp, &["worker"])),
-                ..ServingConfig::default()
-            };
-            b.iter(|| black_box(run_batch_served(scenarios, &cfg).result.ok_count()));
-        },
-    );
-    g.finish();
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(5);
-    targets = bench_cache, bench_key, bench_frame, bench_pool
+    targets = bench_cache, bench_key, bench_frame
 }
 criterion_main!(benches);

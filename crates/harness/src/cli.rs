@@ -48,7 +48,6 @@ struct Args {
     jobs_given: Option<usize>,
     no_result_cache: bool,
     progress: bool,
-    workers: usize,
     socket: Option<String>,
     explain: Option<String>,
     budget: Option<String>,
@@ -76,8 +75,6 @@ impl Args {
             progress: self.progress_enabled(),
             use_cache: !self.no_result_cache,
             cache_dir: serving::default_cache_dir(),
-            workers: self.workers,
-            ..ServingConfig::default()
         }
     }
 }
@@ -101,11 +98,6 @@ pub fn run(argv: &[String]) -> i32 {
         "run" => cmd_run(&args),
         "all" => cmd_all(&args),
         "check" => cmd_check(&args),
-        "worker" => {
-            let mut stdin = std::io::stdin().lock();
-            let mut stdout = std::io::stdout().lock();
-            serving::worker_loop(&mut stdin, &mut stdout)
-        }
         "serve" => {
             let socket = args
                 .socket
@@ -150,11 +142,9 @@ fn print_usage() {
                   [--budget FILE] [--save-budget FILE]\n\
                                           lint the workspace (DESIGN.md §10–§11, §15)\n\
          ehp serve [--socket PATH]        long-running scenario daemon (DESIGN.md §12)\n\
-         ehp worker                       pool child (internal; frames on stdin/stdout)\n\
          \n\
          options:\n\
            --jobs N        worker threads (default 1)\n\
-           --workers N     child worker processes for run/all (default 0 = in-process)\n\
            --seed N        batch base seed (default 0)\n\
            --param k=v     scenario parameter override (repeatable)\n\
            --spec FILE     scenario spec file (repeatable)\n\
@@ -208,11 +198,6 @@ fn parse_args(rest: &[String]) -> Result<Args, String> {
                 let value = Json::parse(v).unwrap_or_else(|_| Json::from(v));
                 args.params.insert(k.to_string(), value);
             }
-            "--workers" | "-w" => {
-                args.workers = value_of("--workers")?
-                    .parse::<usize>()
-                    .map_err(|_| "--workers must be a non-negative integer".to_string())?;
-            }
             "--socket" => args.socket = Some(value_of("--socket")?.to_string()),
             "--spec" => args.specs.push(value_of("--spec")?.to_string()),
             "--quiet" | "-q" => args.quiet = true,
@@ -242,7 +227,9 @@ fn cmd_list() -> i32 {
 }
 
 /// Builds the scenario list for `run`: positional experiment ids plus
-/// expanded spec files, with CLI overrides applied on top.
+/// expanded spec files, with CLI overrides applied on top. Every
+/// scenario must then pass its experiment's S1 schema, so an override
+/// or spec value out of range is rejected before anything runs.
 fn gather_scenarios(args: &Args) -> Result<Vec<Scenario>, String> {
     let mut scenarios = Vec::new();
     for id in &args.positional {
@@ -270,12 +257,21 @@ fn gather_scenarios(args: &Args) -> Result<Vec<Scenario>, String> {
                 sc.seed = Some(seed);
             }
         }
+        let findings = registry::validate_spec(&sc.name, &sc.to_json().to_string_compact());
+        if !findings.is_empty() {
+            let messages: Vec<&str> = findings.iter().map(|f| f.message.as_str()).collect();
+            return Err(format!(
+                "scenario {:?} fails its schema: {}",
+                sc.name,
+                messages.join("; ")
+            ));
+        }
     }
     Ok(scenarios)
 }
 
-/// Runs a batch through the serving layer (result cache + optional
-/// worker pool) and writes every artifact under the figures directory.
+/// Runs a batch through the serving layer (result cache + in-process
+/// executor) and writes every artifact under the figures directory.
 fn execute_and_write(scenarios: &[Scenario], args: &Args, quiet: bool) -> BatchResult {
     let served = serving::run_batch_served(scenarios, &args.serving_config());
     if let Err(e) = output::write_cache_stats(&served.traffic_json()) {
@@ -443,6 +439,45 @@ mod tests {
         assert!(parse_args(&strings(&["--jobs", "zero"])).is_err());
         assert!(parse_args(&strings(&["--param", "novalue"])).is_err());
         assert!(parse_args(&strings(&["--wat"])).is_err());
+    }
+
+    #[test]
+    fn gather_rejects_out_of_schema_overrides_and_specs() {
+        let args = parse_args(&strings(&["ic_sweep", "-p", "accesses=4194305"])).unwrap();
+        let err = gather_scenarios(&args).unwrap_err();
+        assert!(err.contains("\"accesses\""), "{err}");
+
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/tmp/cli");
+        std::fs::create_dir_all(&dir).unwrap();
+        let spec = dir.join("accesses_over_cap.json");
+        std::fs::write(
+            &spec,
+            r#"{"experiment": "ic_sweep", "params": {"accesses": 4194305}}"#,
+        )
+        .unwrap();
+        let args = parse_args(&strings(&["--spec", spec.to_str().unwrap()])).unwrap();
+        let err = gather_scenarios(&args).unwrap_err();
+        assert!(err.contains("\"accesses\""), "{err}");
+    }
+
+    #[test]
+    fn gather_accepts_the_shipped_specs_and_the_readme_override() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios");
+        for spec in ["ic_ablation.json", "dispatch_policies.json"] {
+            let path = root.join(spec);
+            let args = parse_args(&strings(&["--spec", path.to_str().unwrap()])).unwrap();
+            assert!(gather_scenarios(&args).is_ok(), "{spec}");
+        }
+        let args = parse_args(&strings(&[
+            "ic_sweep",
+            "-p",
+            "ic_mib=8",
+            "-p",
+            "pattern=random",
+        ]));
+        let scenarios = gather_scenarios(&args.unwrap()).unwrap();
+        let result = run_batch(&scenarios, &BatchConfig::default());
+        assert_eq!(result.ok_count(), 1);
     }
 
     #[test]

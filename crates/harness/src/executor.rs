@@ -126,8 +126,8 @@ pub fn derive_seed(base_seed: u64, name: &str) -> u64 {
 /// Resolves implicit seeds: every scenario without an explicit seed
 /// gets one derived from `base_seed` and its *name* via
 /// [`derive_seed`]. Exposed so the serving layer can canonicalise
-/// scenarios **before** cache-key hashing and worker dispatch — the
-/// cache and the pool must see exactly what would run.
+/// scenarios **before** cache-key hashing — the cache must see exactly
+/// what would run.
 #[must_use]
 pub fn resolve_seeds(scenarios: &[Scenario], base_seed: u64) -> Vec<Scenario> {
     scenarios
@@ -201,9 +201,7 @@ pub fn run_batch(scenarios: &[Scenario], cfg: &BatchConfig) -> BatchResult {
     }
 }
 
-/// Runs one already-resolved scenario with panic isolation — the
-/// in-process path (`run_batch`, and the degrade fallback of the
-/// serving layer's worker pool).
+/// Runs one already-resolved scenario with panic isolation.
 #[must_use]
 pub fn run_one(scenario: &Scenario) -> Outcome {
     let start = Instant::now();
@@ -215,7 +213,18 @@ pub fn run_one(scenario: &Scenario) -> Outcome {
     let run = catch_unwind(AssertUnwindSafe(|| (exp.run)(scenario)));
     let wall = start.elapsed();
     match run {
-        Ok(result) => ok_outcome(scenario, result, wall),
+        Ok(ExperimentResult {
+            report,
+            metrics,
+            payload,
+        }) => Outcome {
+            scenario: scenario.clone(),
+            status: OutcomeStatus::Ok,
+            metrics,
+            report_text: report.text().to_string(),
+            payload,
+            wall,
+        },
         Err(panic) => Outcome {
             scenario: scenario.clone(),
             status: OutcomeStatus::Panicked(panic_message(&*panic)),
@@ -227,23 +236,6 @@ pub fn run_one(scenario: &Scenario) -> Outcome {
     }
 }
 
-/// Runs one scenario **without** panic isolation — the `ehp worker`
-/// entry point. A panicking experiment must kill the worker process so
-/// the parent's retry/degrade ladder observes the failure; catching it
-/// here would hide exactly the failure mode the pool exists to
-/// contain. The parent's in-process fallback ([`run_one`]) then turns
-/// the deterministic panic into the same `Panicked` outcome a pool-less
-/// run would produce.
-#[must_use]
-pub fn run_one_uncaught(scenario: &Scenario) -> Outcome {
-    let start = Instant::now();
-    let Some(exp) = registry::find(&scenario.experiment) else {
-        return unknown_outcome(scenario, start.elapsed());
-    };
-    let result = (exp.run)(scenario);
-    ok_outcome(scenario, result, start.elapsed())
-}
-
 fn unknown_outcome(scenario: &Scenario, wall: Duration) -> Outcome {
     Outcome {
         scenario: scenario.clone(),
@@ -251,22 +243,6 @@ fn unknown_outcome(scenario: &Scenario, wall: Duration) -> Outcome {
         metrics: BTreeMap::new(),
         report_text: String::new(),
         payload: None,
-        wall,
-    }
-}
-
-fn ok_outcome(scenario: &Scenario, result: ExperimentResult, wall: Duration) -> Outcome {
-    let ExperimentResult {
-        report,
-        metrics,
-        payload,
-    } = result;
-    Outcome {
-        scenario: scenario.clone(),
-        status: OutcomeStatus::Ok,
-        metrics,
-        report_text: report.text().to_string(),
-        payload,
         wall,
     }
 }
@@ -296,8 +272,7 @@ impl Outcome {
         }
     }
 
-    /// The full outcome as JSON — the payload of worker-protocol frames
-    /// and result-cache entries. The summary derives from the same
+    /// The full outcome as JSON — the body of a result-cache entry. The summary derives from the same
     /// fields, so a decoded outcome reproduces `summary_json` bytes
     /// exactly; non-finite metrics render as JSON `null` (decoding back
     /// to NaN), which matches how the summary renders them.
@@ -325,8 +300,8 @@ impl Outcome {
     }
 
     /// Decodes an outcome produced by [`Outcome::to_json`]; `None` on
-    /// any shape mismatch (callers treat that as a poisoned frame or a
-    /// corrupt cache entry and recompute).
+    /// any shape mismatch (callers treat that as a corrupt cache entry
+    /// and recompute).
     #[must_use]
     pub fn from_json(json: &Json) -> Option<Outcome> {
         let scenario = Scenario::from_json(json.get("scenario")?).ok()?;
@@ -471,8 +446,8 @@ mod tests {
         let resolved = resolve_seeds(&[Scenario::default_for("table1")], 42);
         let out = run_one(&resolved[0]);
         assert!(out.is_ok());
-        // Round trip through the *rendered* form, as frames and cache
-        // entries do — not just the in-memory Json tree.
+        // Round trip through the *rendered* form, as cache entries do —
+        // not just the in-memory Json tree.
         let wire = Json::parse(&out.to_json().to_string_compact()).unwrap();
         let back = Outcome::from_json(&wire).expect("decodes");
         assert_eq!(back.scenario, out.scenario);
@@ -504,16 +479,6 @@ mod tests {
             a.summary_json().to_string_compact(),
             b.summary_json().to_string_compact()
         );
-    }
-
-    #[test]
-    fn uncaught_runner_matches_caught_runner_on_ok_scenarios() {
-        let resolved = resolve_seeds(&[Scenario::default_for("table1")], 0);
-        let a = run_one(&resolved[0]);
-        let b = run_one_uncaught(&resolved[0]);
-        assert_eq!(a.status, b.status);
-        assert_eq!(a.metrics, b.metrics);
-        assert_eq!(a.report_text, b.report_text);
     }
 
     #[test]

@@ -23,16 +23,22 @@
 //! 4. **Shard invisibility** — bank-sharded parallel replay merges to
 //!    the sequential reference bit for bit.
 //!
+//! The three replays behind 3 and 4 (sequential reference, wheel
+//! `replay`, heap-kernel `replay`) each build their own subsystem, keep
+//! only what the comparisons read ([`ReplayDigest`]) and drop it before
+//! the next one is built, so one subsystem is alive at a time.
+//!
 //! Scenario parameters: `accesses` (per stream / trace; default
-//! 20000, at most `registry::MAX_TRACE_ACCESSES`), `jobs` (replay workers for the sharded runs; default 8).
+//! 20000, at most `registry::MAX_TRACE_ACCESSES`), `jobs` (replay
+//! workers for the sharded runs; default 8).
 //! The trace seed is the scenario seed.
 
 use ehp_mem::channel::{bank_mix, EventKernel};
 use ehp_mem::subsystem::{MemConfig, MemorySubsystem};
-use ehp_mem::trace::{replay, replay_sequential, Pattern, TraceConfig};
+use ehp_mem::trace::{replay, replay_sequential, Pattern, ReplayResult, TraceConfig};
 use ehp_mem::MemoryChannel;
 use ehp_sim_core::time::SimTime;
-use ehp_sim_core::units::Bytes;
+use ehp_sim_core::units::{Bytes, Energy};
 
 use crate::experiment::ExperimentResult;
 use crate::report::Report;
@@ -58,6 +64,32 @@ fn stream_last_completion(rows: impl Iterator<Item = u64>) -> SimTime {
         }
     }
     last
+}
+
+/// What the replay-invariant comparisons read of one replay: its
+/// result and the subsystem's aggregate statistics afterwards.
+struct ReplayDigest {
+    result: ReplayResult,
+    mean_latency_ns: Option<f64>,
+    energy: Energy,
+    icache_hit_rate: Option<f64>,
+}
+
+/// Replays `trace` with `replay_with` on a fresh subsystem built from
+/// `cfg` and digests it; the subsystem is dropped on return.
+fn replay_digest(
+    cfg: MemConfig,
+    trace: &TraceConfig,
+    replay_with: fn(&mut MemorySubsystem, &TraceConfig) -> ReplayResult,
+) -> ReplayDigest {
+    let mut mem = MemorySubsystem::new(cfg);
+    let result = replay_with(&mut mem, trace);
+    ReplayDigest {
+        result,
+        mean_latency_ns: mem.mean_latency_ns(),
+        energy: mem.energy_used(),
+        icache_hit_rate: mem.icache_hit_rate(),
+    }
 }
 
 pub(crate) fn run(sc: &Scenario) -> ExperimentResult {
@@ -101,6 +133,7 @@ pub(crate) fn run(sc: &Scenario) -> ExperimentResult {
         .map(|c| c.iter().filter(|&&hit| hit).count())
         .min()
         .unwrap_or(0);
+    drop(probe);
 
     rep.section("Bank-level parallelism");
     rep.kv("banks per channel", banks);
@@ -131,25 +164,20 @@ pub(crate) fn run(sc: &Scenario) -> ExperimentResult {
         ..TraceConfig::new(Pattern::Random)
     };
 
-    let mut seq = MemorySubsystem::new(MemConfig::mi300_hbm3());
-    let want = replay_sequential(&mut seq, &trace);
-
-    let mut wheel = MemorySubsystem::new(MemConfig::mi300_hbm3());
-    let sharded = replay(&mut wheel, &trace);
-
+    let seq = replay_digest(MemConfig::mi300_hbm3(), &trace, replay_sequential);
+    let wheel = replay_digest(MemConfig::mi300_hbm3(), &trace, replay);
     let mut heap_cfg = MemConfig::mi300_hbm3();
     heap_cfg.channel.kernel = EventKernel::Heap;
-    let mut heap = MemorySubsystem::new(heap_cfg);
-    let heap_res = replay(&mut heap, &trace);
+    let heap = replay_digest(heap_cfg, &trace, replay);
 
-    let hot_hit_rate = sharded.icache_hit_rate.unwrap_or(0.0);
-    let shard_identical = sharded == want
-        && wheel.mean_latency_ns() == seq.mean_latency_ns()
-        && wheel.energy_used() == seq.energy_used();
-    let kernel_swap_identical = sharded == heap_res
-        && wheel.mean_latency_ns() == heap.mean_latency_ns()
-        && wheel.energy_used() == heap.energy_used()
-        && wheel.icache_hit_rate() == heap.icache_hit_rate();
+    let hot_hit_rate = wheel.result.icache_hit_rate.unwrap_or(0.0);
+    let shard_identical = wheel.result == seq.result
+        && wheel.mean_latency_ns == seq.mean_latency_ns
+        && wheel.energy == seq.energy;
+    let kernel_swap_identical = wheel.result == heap.result
+        && wheel.mean_latency_ns == heap.mean_latency_ns
+        && wheel.energy == heap.energy
+        && wheel.icache_hit_rate == heap.icache_hit_rate;
 
     rep.section("Replay invariants");
     rep.kv(

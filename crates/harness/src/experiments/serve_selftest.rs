@@ -1,17 +1,14 @@
 //! **Serving self-test**: a tiny experiment whose only purpose is to
-//! exercise the serving layer's failure ladder on demand. Three modes:
+//! exercise the serving layer on demand. Two modes:
 //!
 //! * `ok` — deterministic checksum work; the happy path.
-//! * `panic` — panics unconditionally. Inside an `ehp worker` child
-//!   (which runs scenarios *without* panic isolation) this kills the
-//!   worker, driving the pool's kill/retry/degrade ladder end to end;
-//!   in-process it becomes a `Panicked` outcome.
-//! * `sleep` — sleeps `sleep_ms` before answering, for per-chunk
-//!   timeout tests.
+//! * `panic` — panics unconditionally; the executor's panic isolation
+//!   turns it into a `Panicked` outcome, which the result cache never
+//!   stores.
 //!
 //! The checksum depends only on the scenario seed and the `work`
-//! parameter, so a degraded (fallback) run and a worker run of the same
-//! scenario are byte-identical in the summary.
+//! parameter, so a cached and a computed run of the same scenario are
+//! byte-identical in the summary.
 
 use ehp_sim_core::rng::SplitMix64;
 
@@ -23,15 +20,8 @@ pub(crate) fn run(sc: &Scenario) -> ExperimentResult {
     let mode = sc.str("mode", "ok");
     let work = sc.u64("work", 64);
 
-    match mode {
-        "panic" => panic!("serve_selftest: deliberate panic (mode=panic)"),
-        "sleep" => {
-            let ms = sc.u64("sleep_ms", 5);
-            // Sleeping does not feed any output: the summary stays
-            // deterministic, only the timing sidecar moves.
-            std::thread::sleep(std::time::Duration::from_millis(ms));
-        }
-        _ => {}
+    if mode == "panic" {
+        panic!("serve_selftest: deliberate panic (mode=panic)");
     }
 
     let mut rng = SplitMix64::new(sc.effective_seed() ^ work);

@@ -13,11 +13,10 @@
 //! * [`executor`] — the `--jobs N` batch runner: per-scenario panic
 //!   isolation, deterministic name-derived seeds, and a batch summary
 //!   whose bytes are identical across same-seed runs.
-//! * [`serving`] — the scale-out layer (DESIGN.md §12): a result cache
-//!   keyed by build and scenario under `ehp run`/`ehp all`, the
-//!   `ehp worker` child-process protocol, and the `ehp serve`
-//!   Unix-socket daemon, all built on the experiment-agnostic
-//!   `ehp-serve` crate.
+//! * [`serving`] — the serving layer (DESIGN.md §12): a result cache
+//!   keyed by build and scenario under `ehp run`/`ehp all`, and the
+//!   `ehp serve` Unix-socket daemon, both built on the
+//!   experiment-agnostic `ehp-serve` crate.
 //! * [`check`] — committed expected-shape ranges (`ehp check`): the
 //!   paper's headline numbers as a regression gate.
 //! * [`report`] / [`output`] — the text/JSON result writers; everything

@@ -80,7 +80,7 @@ pub fn write_run_timing(timing: &Json) -> io::Result<PathBuf> {
     Ok(path)
 }
 
-/// Writes the serving-layer cache/pool traffic sidecar. Like timing,
+/// Writes the serving-layer cache traffic sidecar. Like timing,
 /// this is kept out of `run_summary.json`: hit counts depend on what
 /// previous runs left in the cache, so they must never leak into the
 /// byte-identical summary.

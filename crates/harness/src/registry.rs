@@ -2,7 +2,7 @@
 //! addressable by a stable id, with each experiment's declared scenario
 //! parameters (the S1 schemas `ehp lint` validates specs against).
 
-use ehp_lint::{ExperimentSchema, ParamKind, ParamSpec};
+use ehp_lint::{ExperimentSchema, Finding, ParamKind, ParamSpec};
 
 use crate::experiment::Experiment;
 use crate::experiments;
@@ -224,13 +224,12 @@ static REGISTRY: &[Experiment] = &[
     },
     Experiment {
         id: "serve_selftest",
-        title: "Serving: deterministic self-test (ok / panic / sleep modes)",
+        title: "Serving: deterministic self-test (ok / panic modes)",
         params: &[
             ParamSpec {
                 name: "mode",
-                kind: ParamKind::EnumStr(&["ok", "panic", "sleep"]),
+                kind: ParamKind::EnumStr(&["ok", "panic"]),
             },
-            u64_pos("sleep_ms"),
             u64_pos("work"),
         ],
         run: experiments::serve_selftest::run,
@@ -256,6 +255,16 @@ pub fn schemas() -> Vec<ExperimentSchema> {
             params: e.params,
         })
         .collect()
+}
+
+/// S1 findings for one scenario spec (`spec_text` holds one spec
+/// object or an array of them) against the live registry schemas; empty
+/// means it may run. `ehp run` checks each scenario after its overrides
+/// and `ehp serve` each request's spec with it, before anything
+/// executes.
+#[must_use]
+pub fn validate_spec(label: &str, spec_text: &str) -> Vec<Finding> {
+    ehp_lint::schema::validate_scenario(label, spec_text, &schemas())
 }
 
 /// All experiments, in paper order.
@@ -304,11 +313,9 @@ mod tests {
         use crate::scenario::Scenario;
         use ehp_sim_core::json::Json;
 
-        // serve_selftest's `panic` and `sleep` modes panic and stall on
-        // purpose; they exercise the serving layer's isolation.
-        let deliberate = |id: &str, v: &Json| {
-            id == "serve_selftest" && matches!(v.as_str(), Some("panic" | "sleep"))
-        };
+        // serve_selftest's `panic` mode panics on purpose; it exercises
+        // the executor's panic isolation.
+        let deliberate = |id: &str, v: &Json| id == "serve_selftest" && v.as_str() == Some("panic");
         // Numeric parameters run at their schema minimum; ic_sweep's
         // granules also at their maximum, where a channel granule above
         // the stack granule is an invalid interleave.
@@ -350,13 +357,12 @@ mod tests {
     fn trace_experiments_accept_accesses_up_to_the_cap_only() {
         use crate::executor::{run_one, OutcomeStatus};
         use crate::scenario::Scenario;
-        use ehp_lint::schema::validate_scenario;
         use ehp_sim_core::json::Json;
 
         for id in ["ic_sweep", "mem_bank_audit"] {
             let findings = |n: u64| {
                 let spec = format!(r#"{{"experiment":"{id}","params":{{"accesses":{n}}}}}"#);
-                validate_scenario("spec", &spec, &schemas()).len()
+                validate_spec("spec", &spec).len()
             };
             assert_eq!(findings(MAX_TRACE_ACCESSES), 0, "{id}");
             assert_eq!(findings(MAX_TRACE_ACCESSES + 1), 1, "{id}");

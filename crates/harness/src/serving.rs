@@ -2,41 +2,31 @@
 //! the experiment registry/executor and the traffic machinery in
 //! `ehp-serve`.
 //!
-//! Three entry points, one per `ehp` mode:
+//! Two entry points, one per `ehp` mode:
 //!
-//! * [`run_batch_served`] — the cached, optionally multi-process batch
-//!   path behind `ehp run`/`ehp all`. Scenarios are seed-resolved,
-//!   keyed ([`scenario_key`]), looked up in the result cache, and only
-//!   the misses execute — in-process, or chunked across `ehp worker`
-//!   children. The merged [`BatchResult`] is byte-identical to what a
-//!   plain `run_batch` produces: cache hits replay the exact outcome
-//!   fields, pool results decode into the same `Outcome` the in-process
-//!   path builds, and anything undecodable is recomputed locally from
-//!   the authoritative resolved scenario.
-//! * [`worker_loop`] — the `ehp worker` child: frames in, outcomes out,
-//!   **no panic isolation** (a panicking scenario kills the child so
-//!   the parent's retry/degrade ladder sees it).
+//! * [`run_batch_served`] — the cached batch path behind
+//!   `ehp run`/`ehp all`. Scenarios are seed-resolved, keyed
+//!   ([`scenario_key`]), looked up in the result cache, and only the
+//!   misses execute, on the in-process batch executor. The merged
+//!   [`BatchResult`] is byte-identical to what a plain `run_batch`
+//!   produces: cache hits replay the exact outcome fields, and an entry
+//!   that does not decode to the scenario asked for is recomputed.
 //! * [`serve_loop`] — the `ehp serve` daemon: scenario-spec requests
-//!   validated against the registry's S1 schemas, batches run through
+//!   validated against the registry's S1 schemas
+//!   ([`registry::validate_spec`]), batches run through
 //!   [`run_batch_served`], per-scenario summaries streamed back, cache
-//!   and pool traffic folded into the server's stats.
+//!   traffic folded into the server's stats.
 
-use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use ehp_serve::cache::{build_fingerprint, result_key, CacheCounters, ResultCache};
-use ehp_serve::frame;
-use ehp_serve::pool::{self, PoolConfig, PoolStats, WorkerCommand};
 use ehp_serve::server::{self, Handler};
 use ehp_serve::stats::ServeStats;
 use ehp_sim_core::json::Json;
 
-use crate::executor::{
-    resolve_seeds, run_batch, run_one, run_one_uncaught, BatchConfig, BatchResult, Outcome,
-    OutcomeStatus,
-};
+use crate::executor::{resolve_seeds, run_batch, BatchConfig, BatchResult, Outcome, OutcomeStatus};
 use crate::registry;
 use crate::scenario::{Scenario, ScenarioSpec};
 
@@ -53,8 +43,7 @@ pub fn default_cache_dir() -> PathBuf {
 /// Knobs for the served batch path.
 #[derive(Debug, Clone)]
 pub struct ServingConfig {
-    /// In-process worker threads (for the pool-less path and the
-    /// degrade fallback).
+    /// In-process worker threads for the cache misses.
     pub jobs: usize,
     /// Base seed for implicit scenario seeds.
     pub base_seed: u64,
@@ -64,13 +53,6 @@ pub struct ServingConfig {
     pub use_cache: bool,
     /// Result-cache directory.
     pub cache_dir: PathBuf,
-    /// Child worker processes — the pool's only worker-count setting;
-    /// 0 = run misses in-process.
-    pub workers: usize,
-    /// Pool knobs (chunk size, timeout, retries).
-    pub pool: PoolConfig,
-    /// How to spawn workers; `None` = current executable + `worker`.
-    pub worker_cmd: Option<WorkerCommand>,
 }
 
 impl Default for ServingConfig {
@@ -81,9 +63,6 @@ impl Default for ServingConfig {
             progress: false,
             use_cache: true,
             cache_dir: default_cache_dir(),
-            workers: 0,
-            pool: PoolConfig::default(),
-            worker_cmd: None,
         }
     }
 }
@@ -96,26 +75,13 @@ pub struct ServedBatch {
     /// Cache traffic (hits are *usable* hits — an entry that fails to
     /// decode counts as a miss, because it was recomputed).
     pub cache: CacheCounters,
-    /// Pool traffic (zero when everything ran in-process or from cache).
-    pub pool: PoolStats,
 }
 
 impl ServedBatch {
     /// The `cache_stats.json` sidecar body.
     #[must_use]
     pub fn traffic_json(&self) -> Json {
-        Json::object([
-            ("cache", self.cache.to_json()),
-            (
-                "pool",
-                Json::object([
-                    ("chunks", Json::from(self.pool.chunks)),
-                    ("worker_spawns", Json::from(self.pool.worker_spawns)),
-                    ("worker_restarts", Json::from(self.pool.worker_restarts)),
-                    ("fallback_chunks", Json::from(self.pool.fallback_chunks)),
-                ]),
-            ),
-        ])
+        Json::object([("cache", self.cache.to_json())])
     }
 }
 
@@ -132,19 +98,8 @@ fn key_under(build: u64, sc: &Scenario) -> u64 {
     result_key(build, &sc.experiment, &sc.to_json().to_string_compact())
 }
 
-/// The worker command for spawning this very binary in `worker` mode.
-///
-/// # Errors
-///
-/// Fails when the current executable path cannot be resolved (callers
-/// degrade to in-process execution).
-pub fn self_worker_command() -> io::Result<WorkerCommand> {
-    let exe = std::env::current_exe()?;
-    Ok(WorkerCommand::new(exe, &["worker"]))
-}
-
-/// Runs a batch through cache + pool; see the module docs for the
-/// merge/degrade guarantees.
+/// Runs a batch through the result cache; see the module docs for the
+/// merge guarantees.
 #[must_use]
 pub fn run_batch_served(scenarios: &[Scenario], cfg: &ServingConfig) -> ServedBatch {
     let start = Instant::now();
@@ -192,37 +147,18 @@ pub fn run_batch_served(scenarios: &[Scenario], cfg: &ServingConfig) -> ServedBa
         }
     }
 
-    let mut pool_stats = PoolStats::default();
     if !to_run.is_empty() {
         let subset: Vec<Scenario> = to_run.iter().map(|&i| resolved[i].clone()).collect();
-        let worker_cmd = (cfg.workers > 0)
-            .then(|| {
-                cfg.worker_cmd
-                    .clone()
-                    .or_else(|| self_worker_command().ok())
-            })
-            .flatten();
-        let computed: Vec<Outcome> = match worker_cmd {
-            Some(cmd) => {
-                let (outs, stats) = run_subset_pooled(&subset, &cmd, cfg);
-                pool_stats = stats;
-                outs
-            }
-            // Pool-less (or unresolvable executable): the plain batch
-            // executor. Seeds are already resolved, so base_seed is
-            // inert here.
-            None => {
-                run_batch(
-                    &subset,
-                    &BatchConfig {
-                        jobs: cfg.jobs,
-                        base_seed: cfg.base_seed,
-                        progress: cfg.progress,
-                    },
-                )
-                .outcomes
-            }
-        };
+        // Seeds are already resolved, so base_seed is inert here.
+        let computed = run_batch(
+            &subset,
+            &BatchConfig {
+                jobs: cfg.jobs,
+                base_seed: cfg.base_seed,
+                progress: cfg.progress,
+            },
+        )
+        .outcomes;
         for (&slot, out) in to_run.iter().zip(computed) {
             if let Some(c) = cache.as_mut() {
                 // Only completed runs are cached: panics and unknown
@@ -239,7 +175,7 @@ pub fn run_batch_served(scenarios: &[Scenario], cfg: &ServingConfig) -> ServedBa
 
     let outcomes: Vec<Outcome> = slots
         .into_iter()
-        .map(|s| s.expect("every scenario resolved from cache, pool, or fallback"))
+        .map(|s| s.expect("every scenario resolved from cache or executed"))
         .collect();
     ServedBatch {
         result: BatchResult {
@@ -247,103 +183,6 @@ pub fn run_batch_served(scenarios: &[Scenario], cfg: &ServingConfig) -> ServedBa
             wall: start.elapsed(),
         },
         cache: traffic,
-        pool: pool_stats,
-    }
-}
-
-/// Runs the cache-miss subset through the worker pool, decoding frames
-/// back into outcomes and recomputing anything undecodable.
-fn run_subset_pooled(
-    subset: &[Scenario],
-    cmd: &WorkerCommand,
-    cfg: &ServingConfig,
-) -> (Vec<Outcome>, PoolStats) {
-    let jobs: Vec<Json> = subset.iter().map(Scenario::to_json).collect();
-    let total = jobs.len();
-    let done = AtomicUsize::new(0);
-    let progress = cfg.progress;
-    let on_chunk = move |_start: usize, results: &[Json]| {
-        let finished = done.fetch_add(results.len(), Ordering::Relaxed) + results.len();
-        if progress {
-            for r in results {
-                let name = r
-                    .get("scenario")
-                    .and_then(|s| s.get("name"))
-                    .and_then(Json::as_str)
-                    .unwrap_or("?");
-                eprintln!("[{finished}/{total}] {name} (pool)");
-            }
-        }
-    };
-    // The degrade fallback: in-process, panic-isolated, 1:1 with jobs.
-    let mut fallback = |chunk: &[Json]| {
-        chunk
-            .iter()
-            .map(|job| match Scenario::from_json(job) {
-                Ok(sc) => run_one(&sc).to_json(),
-                // Unreachable for our own rendering; a Null decodes to
-                // nothing and triggers the recompute below.
-                Err(_) => Json::Null,
-            })
-            .collect()
-    };
-    let (raw, stats) = pool::run_jobs(
-        &jobs,
-        cmd,
-        cfg.workers,
-        &cfg.pool,
-        &mut fallback,
-        Some(&on_chunk),
-    );
-    let outcomes = subset
-        .iter()
-        .zip(raw)
-        .map(|(sc, json)| {
-            match Outcome::from_json(&json) {
-                Some(out) if out.scenario == *sc => out,
-                // A worker answered with the wrong/garbled outcome and
-                // it slipped past the frame checks: recompute locally
-                // from the authoritative scenario.
-                _ => run_one(sc),
-            }
-        })
-        .collect();
-    (outcomes, stats)
-}
-
-/// The `ehp worker` child body: serve `{"id", "chunk"}` frames from
-/// `input` until the parent closes the pipe. Scenarios run **without**
-/// panic isolation by design — see [`run_one_uncaught`].
-pub fn worker_loop(input: &mut impl Read, output: &mut impl Write) -> i32 {
-    let mut input = BufReader::new(input);
-    let mut output = BufWriter::new(output);
-    loop {
-        let request = match frame::read_frame(&mut input) {
-            Ok(Some(request)) => request,
-            // Parent closed our stdin: the batch is over.
-            Ok(None) => return 0,
-            Err(_) => return 1,
-        };
-        let id = request.get("id").and_then(Json::as_u64).unwrap_or(0);
-        let response = match request.get("chunk").and_then(Json::as_arr) {
-            Some(chunk) => {
-                let results: Vec<Json> = chunk
-                    .iter()
-                    .map(|job| match Scenario::from_json(job) {
-                        Ok(sc) => run_one_uncaught(&sc).to_json(),
-                        Err(e) => Json::object([("undecodable", Json::from(e.to_string()))]),
-                    })
-                    .collect();
-                Json::object([("id", Json::from(id)), ("results", Json::Arr(results))])
-            }
-            None => Json::object([
-                ("id", Json::from(id)),
-                ("error", Json::from("request missing `chunk`")),
-            ]),
-        };
-        if frame::write_frame(&mut output, &response).is_err() {
-            return 1;
-        }
     }
 }
 
@@ -390,8 +229,7 @@ impl Handler for RunHandler {
         // Validate the spec exactly as `ehp lint` (S1) validates spec
         // files, against the live registry schemas.
         let spec_text = spec.to_string_compact();
-        let findings =
-            ehp_lint::schema::validate_scenario("request", &spec_text, &registry::schemas());
+        let findings = registry::validate_spec("request", &spec_text);
         if !findings.is_empty() {
             stats.rejected += 1;
             let msgs = findings
@@ -412,9 +250,6 @@ impl Handler for RunHandler {
         let mut cfg = self.base.clone();
         if let Some(seed) = request.get("seed").and_then(Json::as_u64) {
             cfg.base_seed = seed;
-        }
-        if let Some(workers) = request.get("workers").and_then(Json::as_u64) {
-            cfg.workers = workers as usize;
         }
         if request.get("no_cache").and_then(Json::as_bool) == Some(true) {
             cfg.use_cache = false;
@@ -439,7 +274,6 @@ impl Handler for RunHandler {
         }
         stats.scenarios += served.result.outcomes.len() as u64;
         stats.add_cache(served.cache);
-        stats.add_pool(served.pool);
         Json::object([
             ("ok", Json::Bool(true)),
             ("total", Json::from(served.result.outcomes.len())),
@@ -500,7 +334,6 @@ mod tests {
             served.result.summary_json().to_string_compact()
         );
         assert_eq!(served.cache, CacheCounters::default());
-        assert_eq!(served.pool, PoolStats::default());
     }
 
     #[test]
@@ -513,38 +346,5 @@ mod tests {
         let with_param = resolved[0].clone().with_param("work", 128u64);
         assert_ne!(base, scenario_key(&with_param));
         assert_eq!(base, scenario_key(&resolved[0].clone()));
-    }
-
-    #[test]
-    fn worker_loop_round_trips_a_chunk() {
-        let resolved = resolve_seeds(&selftest(2), 7);
-        let chunk: Vec<Json> = resolved.iter().map(Scenario::to_json).collect();
-        let request = Json::object([("id", Json::from(3u64)), ("chunk", Json::Arr(chunk))]);
-        let mut input = Vec::new();
-        frame::write_frame(&mut input, &request).unwrap();
-        let mut output = Vec::new();
-        let code = worker_loop(&mut input.as_slice(), &mut output);
-        assert_eq!(code, 0, "clean EOF exit");
-        let mut r = output.as_slice();
-        let response = frame::read_frame(&mut r).unwrap().unwrap();
-        assert_eq!(response.get("id"), Some(&Json::from(3u64)));
-        let results = response.get("results").unwrap().as_arr().unwrap();
-        assert_eq!(results.len(), 2);
-        // The worker's outcome decodes to exactly the in-process one.
-        let out = Outcome::from_json(&results[0]).unwrap();
-        let local = run_one(&resolved[0]);
-        assert_eq!(out.status, local.status);
-        assert_eq!(out.metrics, local.metrics);
-    }
-
-    #[test]
-    fn worker_loop_reports_malformed_requests_without_dying() {
-        let bad = Json::object([("id", Json::from(1u64))]); // no chunk
-        let mut input = Vec::new();
-        frame::write_frame(&mut input, &bad).unwrap();
-        let mut output = Vec::new();
-        assert_eq!(worker_loop(&mut input.as_slice(), &mut output), 0);
-        let response = frame::read_frame(&mut output.as_slice()).unwrap().unwrap();
-        assert!(response.get("error").is_some());
     }
 }

@@ -1,6 +1,7 @@
 //! End-to-end tests for the serving layer (DESIGN.md §12): result-cache
-//! byte-identity, corruption degrade, worker-pool panic robustness, and
-//! the `ehp serve` Unix-socket daemon driven through the real binary.
+//! byte-identity, corruption degrade, panics on the served path, S1
+//! rejection at `ehp run`, and the `ehp serve` Unix-socket daemon driven
+//! through the real binary.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -11,7 +12,6 @@ use ehp_harness::executor::{run_batch, BatchConfig, OutcomeStatus};
 use ehp_harness::scenario::Scenario;
 use ehp_harness::serving::{run_batch_served, scenario_key, ServingConfig};
 use ehp_serve::cache::ResultCache;
-use ehp_serve::pool::{PoolConfig, WorkerCommand};
 use ehp_serve::server;
 use ehp_sim_core::json::Json;
 
@@ -143,19 +143,9 @@ fn tampered_entry_fails_scenario_check_and_recomputes() {
     );
 }
 
-/// A pool config tuned for tests: small chunks so a panicking scenario
-/// poisons little, tight timeout so the suite stays fast.
-fn fast_pool() -> PoolConfig {
-    PoolConfig {
-        chunk: 2,
-        timeout: Duration::from_secs(30),
-        max_retries: 1,
-        backoff: Duration::from_millis(5),
-    }
-}
-
 #[test]
-fn panicking_scenario_in_worker_degrades_to_identical_summary() {
+fn panicking_scenario_on_the_served_path_is_isolated_and_never_cached() {
+    let cache_dir = tmp_dir("panic");
     let scenarios = {
         let mut v = selftest_batch(5);
         let mut bad = Scenario::default_for("serve_selftest").with_param("mode", "panic");
@@ -172,55 +162,37 @@ fn panicking_scenario_in_worker_degrades_to_identical_summary() {
         OutcomeStatus::Panicked(_)
     ));
 
-    // Pooled: the panic kills a worker; the chunk is retried on a fresh
-    // one, then degrades to the in-process fallback. Same bytes out.
-    let cfg = ServingConfig {
-        use_cache: false,
-        workers: 2,
-        pool: fast_pool(),
-        worker_cmd: Some(WorkerCommand::new(EHP, &["worker"])),
-        ..ServingConfig::default()
-    };
-    let served = run_batch_served(&scenarios, &cfg);
-    assert_eq!(
-        plain.summary_json().to_string_pretty(),
-        served.result.summary_json().to_string_pretty(),
-        "a worker killed mid-batch must never change the merged summary"
-    );
-    assert!(
-        served.pool.worker_restarts >= 1,
-        "the panic must have killed at least one worker: {:?}",
-        served.pool
-    );
-    assert!(
-        served.pool.fallback_chunks >= 1,
-        "the poisoned chunk must have degraded in-process: {:?}",
-        served.pool
-    );
+    // Cached, two threads: same bytes, and only the five completed
+    // runs are stored.
+    let cfg = cached_cfg(&cache_dir);
+    let (cold, cold_traffic) = summary(&scenarios, &cfg);
+    assert_eq!(cold, plain.summary_json().to_string_pretty());
+    assert_eq!(cold_traffic.misses, 6);
+    assert_eq!(cold_traffic.stores, 5, "a panic must never be cached");
+
+    // Warm: the five hit, the panic misses and runs (and panics) again.
+    let (warm, warm_traffic) = summary(&scenarios, &cfg);
+    assert_eq!(warm, cold);
+    assert_eq!(warm_traffic.hits, 5);
+    assert_eq!(warm_traffic.misses, 1);
+    assert_eq!(warm_traffic.stores, 0);
 }
 
 #[test]
-fn workers_setting_is_the_pool_size() {
-    // Three chunks of two, one worker: the single child claims every
-    // chunk in turn, so exactly one process is ever spawned.
-    let scenarios = selftest_batch(6);
-    let cfg = ServingConfig {
-        use_cache: false,
-        workers: 1,
-        pool: fast_pool(),
-        worker_cmd: Some(WorkerCommand::new(EHP, &["worker"])),
-        ..ServingConfig::default()
-    };
-    let served = run_batch_served(&scenarios, &cfg);
-    assert_eq!(served.result.ok_count(), 6);
-    assert_eq!(served.pool.chunks, 3, "{:?}", served.pool);
-    assert_eq!(served.pool.worker_spawns, 1, "{:?}", served.pool);
-    assert_eq!(served.pool.worker_restarts, 0, "{:?}", served.pool);
-    assert_eq!(
-        run_batch(&scenarios, &BatchConfig::default())
-            .summary_json()
-            .to_string_pretty(),
-        served.result.summary_json().to_string_pretty()
+fn out_of_schema_run_exits_2_before_executing() {
+    let dir = tmp_dir("s1-reject");
+    let status = Command::new(EHP)
+        .args(["run", "ic_sweep", "-p", "accesses=4194305", "--quiet"])
+        .args(["--no-result-cache"])
+        .env("EHP_FIGURES_DIR", dir.join("figures"))
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .status()
+        .expect("run ehp");
+    assert_eq!(status.code(), Some(2));
+    assert!(
+        !dir.join("figures").exists(),
+        "a rejected run must write nothing"
     );
 }
 

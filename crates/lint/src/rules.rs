@@ -304,8 +304,8 @@ fn check_hash_iter(
 fn check_wall_clock(path: &str, file: &TokenizedFile, findings: &mut Vec<Finding>) {
     // The batch executor times scenarios, `ehp-bench` is a benchmark
     // harness, and the serving layer (`ehp-serve` + its harness glue)
-    // measures request latency and worker timeouts; everything else
-    // must be simulated-time only.
+    // measures request latency and cache-hit lookup time; everything
+    // else must be simulated-time only.
     if path.starts_with("crates/bench/")
         || path.starts_with("crates/serve/")
         || path == "crates/harness/src/executor.rs"

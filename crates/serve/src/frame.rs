@@ -1,4 +1,4 @@
-//! The wire format shared by the worker pool and the serve socket:
+//! The wire format of the serve socket:
 //! **length-prefixed JSON frames**.
 //!
 //! A frame is a 4-byte little-endian length `n` followed by exactly `n`
@@ -10,8 +10,7 @@
 //!
 //! Every malformed condition — length above [`MAX_FRAME_BYTES`], EOF
 //! mid-frame, invalid UTF-8, invalid JSON — surfaces as an
-//! [`io::Error`], which the pool treats as a poisoned worker (kill,
-//! retry, degrade) and the server treats as a client to disconnect.
+//! [`io::Error`], which the server treats as a client to disconnect.
 //! Clean EOF *before* a length prefix is `Ok(None)`: the peer closed
 //! between frames, which is the normal way a conversation ends.
 

@@ -11,7 +11,7 @@
 //! complete.
 //!
 //! Connections are served one at a time in accept order — the daemon
-//! exists to amortise cache and pool state across requests, not to
+//! exists to amortise the result cache across requests, not to
 //! multiplex clients, and a single-threaded loop keeps the stats and
 //! cache mutation story trivially race-free. A client that sends a
 //! malformed frame is disconnected; the daemon itself only exits on a
@@ -32,7 +32,7 @@ use crate::stats::ServeStats;
 ///
 /// `handle` answers one non-builtin request. It may stream intermediate
 /// frames through `emit` (delivered to the client before the final
-/// response), fold traffic into `stats` (cache/pool deltas, scenario
+/// response), fold traffic into `stats` (cache deltas, scenario
 /// and rejection counts), and returns the final response body — the
 /// server adds `"done": true` and request accounting itself.
 pub trait Handler {

@@ -1,8 +1,7 @@
 //! Serve-daemon traffic statistics.
 //!
 //! [`ServeStats`] aggregates what `ehp serve` has done since startup:
-//! requests answered, scenarios executed, cache traffic, pool traffic,
-//! and end-to-end request latency percentiles. Latency samples live in
+//! requests answered, scenarios executed, cache traffic, and end-to-end request latency percentiles. Latency samples live in
 //! a bounded ring (newest overwrite oldest) so a long-lived daemon's
 //! stats stay O(1) in memory; percentiles use the shared nearest-rank
 //! helper from [`ehp_sim_core::stats`].
@@ -15,7 +14,6 @@ use ehp_sim_core::json::Json;
 use ehp_sim_core::stats::percentile;
 
 use crate::cache::CacheCounters;
-use crate::pool::PoolStats;
 
 /// Latency samples kept for percentile estimation.
 const MAX_SAMPLES: usize = 4096;
@@ -31,8 +29,6 @@ pub struct ServeStats {
     pub scenarios: u64,
     /// Cache traffic accumulated across requests.
     pub cache: CacheCounters,
-    /// Pool traffic accumulated across requests.
-    pub pool: PoolStats,
     latency_ms: Vec<f64>,
     next_slot: usize,
 }
@@ -61,14 +57,6 @@ impl ServeStats {
         self.cache.stores += delta.stores;
     }
 
-    /// Folds one batch's pool traffic into the totals.
-    pub fn add_pool(&mut self, delta: PoolStats) {
-        self.pool.chunks += delta.chunks;
-        self.pool.worker_spawns += delta.worker_spawns;
-        self.pool.worker_restarts += delta.worker_restarts;
-        self.pool.fallback_chunks += delta.fallback_chunks;
-    }
-
     /// The full stats snapshot served for a `stats` request.
     #[must_use]
     pub fn to_json(&self) -> Json {
@@ -80,15 +68,6 @@ impl ServeStats {
             ("rejected", Json::from(self.rejected)),
             ("scenarios", Json::from(self.scenarios)),
             ("cache", self.cache.to_json()),
-            (
-                "pool",
-                Json::object([
-                    ("chunks", Json::from(self.pool.chunks)),
-                    ("worker_spawns", Json::from(self.pool.worker_spawns)),
-                    ("worker_restarts", Json::from(self.pool.worker_restarts)),
-                    ("fallback_chunks", Json::from(self.pool.fallback_chunks)),
-                ]),
-            ),
             (
                 "latency_ms",
                 Json::object([
@@ -158,14 +137,8 @@ mod tests {
             misses: 0,
             stores: 0,
         });
-        s.add_pool(PoolStats {
-            chunks: 4,
-            worker_spawns: 2,
-            worker_restarts: 1,
-            fallback_chunks: 1,
-        });
         assert_eq!(s.cache.hits, 7);
         assert_eq!(s.cache.misses, 3);
-        assert_eq!(s.pool.worker_restarts, 1);
+        assert_eq!(s.cache.stores, 3);
     }
 }
